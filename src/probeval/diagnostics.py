@@ -4,7 +4,8 @@ Sharpness is the average predicted standard deviation, dispersion the
 population standard deviation of the per-instance standard deviations,
 and coverage the fraction of observations inside central prediction
 intervals read off the forecast CDFs.  None of these is a proper scoring
-rule; they complement the scores in :mod:`probeval.scoring`.
+rule; they complement the scores in :mod:`probeval.scoring`, whose batch
+kernels compute them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyBatchError, InvalidLevelError
-from .forecast import DiscreteForecast
+from .errors import EmptyBatchError
+from .forecast import DiscreteForecast, ForecastBatch
+from .scoring import MetricSpec, coverage_kernel, dispersion_kernel, sharpness_kernel
 
 
 @dataclass(frozen=True)
@@ -27,16 +29,20 @@ class CalibrationReport:
     coverage: dict[float, float]
 
 
-def _stds(forecasts: Iterable[DiscreteForecast]) -> np.ndarray:
-    stds = np.array([f.std() for f in forecasts])
-    if stds.size == 0:
+def _pack(forecasts: Iterable[DiscreteForecast]) -> ForecastBatch:
+    batch = ForecastBatch.from_forecasts(forecasts)
+    if batch.n == 0:
         raise EmptyBatchError("diagnostics need at least one forecast")
-    return stds
+    return batch
+
+
+def _coverage_spec(level: float) -> MetricSpec:
+    return MetricSpec(f"coverage_{level}", level=level)
 
 
 def sharpness(forecasts: Iterable[DiscreteForecast]) -> float:
     """Mean of the per-instance predictive standard deviations."""
-    return float(np.mean(_stds(forecasts)))
+    return float(np.mean(sharpness_kernel(_pack(forecasts), None, None)))
 
 
 def dispersion(forecasts: Iterable[DiscreteForecast]) -> float:
@@ -45,15 +51,13 @@ def dispersion(forecasts: Iterable[DiscreteForecast]) -> float:
     The 1/N normalization makes a single-forecast batch well defined
     (dispersion zero).
     """
-    return float(np.std(_stds(forecasts)))
+    return dispersion_kernel(_pack(forecasts), None, None)
 
 
 def in_central_interval(f: DiscreteForecast, y: float, level: float) -> bool:
     """Whether y falls inside the central ``level`` interval, bounds inclusive."""
-    if not 0.0 < level < 1.0:
-        raise InvalidLevelError(f"coverage level must be in (0, 1), got {level}")
-    alpha = 1.0 - level
-    return f.quantile(alpha / 2.0) <= y <= f.quantile(1.0 - alpha / 2.0)
+    spec = _coverage_spec(level)
+    return bool(coverage_kernel(ForecastBatch.of(f), np.array([y], dtype=float), spec)[0])
 
 
 def coverage(batch: Sequence[tuple[DiscreteForecast, float]], level: float) -> float:
@@ -63,13 +67,13 @@ def coverage(batch: Sequence[tuple[DiscreteForecast, float]], level: float) -> f
     inclusive; atomic CDFs can therefore over-cover the nominal level,
     which is reported as observed rather than corrected.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidLevelError(f"coverage level must be in (0, 1), got {level}")
+    spec = _coverage_spec(level)
     batch = list(batch)
     if not batch:
         raise EmptyBatchError("coverage needs at least one (forecast, observation) pair")
-    hits = sum(in_central_interval(f, y, level) for f, y in batch)
-    return hits / len(batch)
+    packed = ForecastBatch.from_forecasts(f for f, _ in batch)
+    targets = np.array([y for _, y in batch], dtype=float)
+    return float(np.mean(coverage_kernel(packed, targets, spec)))
 
 
 def calibration_report(
@@ -78,9 +82,13 @@ def calibration_report(
 ) -> CalibrationReport:
     """Sharpness, dispersion, and coverage at the requested levels."""
     batch = list(batch)
-    forecasts = [f for f, _ in batch]
+    packed = _pack(f for f, _ in batch)
+    targets = np.array([y for _, y in batch], dtype=float)
     return CalibrationReport(
-        sharpness=sharpness(forecasts),
-        dispersion=dispersion(forecasts),
-        coverage={level: coverage(batch, level) for level in levels},
+        sharpness=float(np.mean(sharpness_kernel(packed, targets, None))),
+        dispersion=dispersion_kernel(packed, targets, None),
+        coverage={
+            level: float(np.mean(coverage_kernel(packed, targets, _coverage_spec(level))))
+            for level in levels
+        },
     )

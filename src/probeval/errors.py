@@ -22,7 +22,15 @@ class InvalidScaleError(ProbevalError):
 
 
 class OutsideSupportError(ProbevalError):
-    """An observation falls outside the histogram grid."""
+    """An observation falls outside the histogram grid.
+
+    ``index`` is the position of the offending record in its batch, when
+    the error comes from a batch kernel.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class EmptyBatchError(ProbevalError):

@@ -2,10 +2,14 @@
 
 Models in this domain emit one of three raw forms: a histogram PMF over a
 bin grid, a dense set of quantiles, or an ensemble of samples.  Scoring
-happens on a canonical point-mass form, :class:`DiscreteForecast`; the
-conversions below collapse each raw form onto it.  Histograms collapse to
-their bin centers, which makes CRPS and the beta=1 energy score coincide
-exactly instead of approximately.
+happens on a canonical point-mass form; the conversions below collapse
+each raw form onto it.  Histograms collapse to their bin centers, which
+makes CRPS and the beta=1 energy score coincide exactly instead of
+approximately.
+
+:class:`ForecastBatch` packs the point masses of many records into flat
+arrays (CSR layout) so that conversions and scoring rules run over a whole
+batch at once; :class:`DiscreteForecast` is the one-record view of it.
 
 All forecast types are immutable after construction and every operation
 here is pure, so instances are safe to share between workers.
@@ -16,13 +20,25 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidLevelError, NotConvertibleError, QuantileCrossingWarning
+from .errors import (
+    ConversionWarning,
+    InvalidLevelError,
+    NotConvertibleError,
+    QuantileCrossingWarning,
+)
 
 # Tolerance on total probability mass for validation and conversions.
 MASS_TOL = 1e-9
+
+# Largest number of array elements a batch operation works on at once.
+# Batches are processed in blocks of whole records whose temporaries stay
+# within this budget, so memory follows the block size, not the batch size.
+BLOCK_ELEMENTS = 1 << 14
 
 
 def _finite_1d(values, name: str) -> np.ndarray:
@@ -32,6 +48,11 @@ def _finite_1d(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
     arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
@@ -62,10 +83,8 @@ class HistogramForecast:
         total = float(probs.sum())
         if total <= 0:
             raise ValueError("probs must carry positive total mass")
-        probs = probs / total
-        probs.flags.writeable = False
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _readonly(probs / total))
 
     @property
     def widths(self) -> np.ndarray:
@@ -77,11 +96,8 @@ class HistogramForecast:
         Bins are left-closed and right-open, except the last bin which is
         closed on both sides.  Returns -1 when ``y`` lies outside the grid.
         """
-        edges = self.edges
-        if y < edges[0] or y > edges[-1]:
-            return -1
-        k = int(np.searchsorted(edges, y, side="right")) - 1
-        return min(k, self.probs.size - 1)
+        k, inside = HistogramBatch.from_forecasts([self]).bin_index(np.array([y], dtype=float))
+        return int(k[0]) if inside[0] else -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +135,8 @@ class QuantileForecast:
             )
             values = np.sort(values)
             object.__setattr__(self, "repaired", True)
-        values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _readonly(values.copy()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,64 +153,45 @@ class SampleForecast:
 class DiscreteForecast:
     """Point-mass distribution: strictly ascending support, positive masses.
 
-    This is the canonical scoring form.  The CDF is the right-continuous
-    step function P(X <= x); quantiles use the generalized inverse (the
-    smallest support point at which the CDF reaches the requested level).
+    This is the canonical scoring form, a one-record view of a
+    :class:`ForecastBatch`.  The CDF is the right-continuous step function
+    P(X <= x); quantiles use the generalized inverse (the smallest support
+    point at which the CDF reaches the requested level).
     """
 
     points: np.ndarray
     probs: np.ndarray
-    _cum0: np.ndarray = field(init=False, repr=False, default=None)
+    batch: ForecastBatch = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        points = _finite_1d(self.points, "points")
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1:
-            raise ValueError("probs must be one-dimensional")
-        if probs.size != points.size:
-            raise ValueError("points and probs must have the same length")
-        if np.any(np.diff(points) <= 0):
-            raise ValueError("points must be strictly increasing")
-        if not np.all(np.isfinite(probs)) or np.any(probs <= 0):
-            raise ValueError("probs must be finite and strictly positive")
-        total = float(probs.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"probs must sum to 1 within {MASS_TOL}, got {total!r}")
-        # Leading zero plus cumulative masses; the CDF is exactly 1 at and
-        # beyond the last support point.
-        cum0 = np.concatenate(([0.0], np.cumsum(probs)))
-        cum0[-1] = 1.0
-        probs = probs.copy()
-        probs.flags.writeable = False
-        cum0.flags.writeable = False
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_cum0", cum0)
+        self._adopt(ForecastBatch(self.points, self.probs, [0, np.size(self.points)]))
+
+    def _adopt(self, batch: ForecastBatch) -> None:
+        object.__setattr__(self, "points", batch.points)
+        object.__setattr__(self, "probs", batch.probs)
+        object.__setattr__(self, "batch", batch)
 
     def cdf(self, x):
         """Right-continuous step CDF; accepts a scalar or an array."""
         x_arr = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.points, x_arr, side="right")
-        out = self._cum0[idx]
+        out = np.where(idx > 0, self.batch.cdf[np.maximum(idx - 1, 0)], 0.0)
         return float(out) if x_arr.ndim == 0 else out
 
     def quantile(self, tau: float) -> float:
         """Generalized inverse CDF: the smallest point with cdf >= tau."""
         if not 0.0 < tau < 1.0:
             raise InvalidLevelError(f"quantile level must be in (0, 1), got {tau}")
-        idx = int(np.searchsorted(self._cum0[1:], tau, side="left"))
-        return float(self.points[min(idx, self.points.size - 1)])
+        return float(self.batch.quantiles(tau)[0])
 
     def median(self) -> float:
         return self.quantile(0.5)
 
     def mean(self) -> float:
-        return float(np.dot(self.probs, self.points))
+        return float(self.batch.means()[0])
 
     def variance(self) -> float:
-        centered = self.points - self.mean()
-        # Clamp against negative rounding for near-degenerate supports.
-        return max(float(np.dot(self.probs, centered * centered)), 0.0)
+        return float(self.batch.variances()[0])
 
     def std(self) -> float:
         return math.sqrt(self.variance())
@@ -205,11 +200,502 @@ class DiscreteForecast:
 Forecast = HistogramForecast | QuantileForecast | SampleForecast | DiscreteForecast
 
 
+def _record_ids(offsets: np.ndarray) -> np.ndarray:
+    """Record index of every element of a CSR array."""
+    return np.repeat(np.arange(offsets.size - 1), offsets[1:] - offsets[:-1])
+
+
+def _offsets(lengths) -> np.ndarray:
+    lengths = np.asarray(lengths, dtype=np.intp)
+    out = np.zeros(lengths.size + 1, dtype=np.intp)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _run_starts(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Mask of the elements that start a run of equal values within a record."""
+    new = np.ones(values.size, dtype=bool)
+    new[1:] = values[1:] != values[:-1]
+    new[offsets[:-1]] = True
+    return new
+
+
+def _equal_size_groups(
+    offsets: np.ndarray, elements: Callable[[int], int] = lambda size: size
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(size, record indices) for the records of each segment size.
+
+    Each group is split so that rows * elements(size) stays within
+    BLOCK_ELEMENTS (one row at least).  Row-wise numpy reductions over a
+    group give every record the same result as a call on that record alone.
+    """
+    lengths = offsets[1:] - offsets[:-1]
+    if lengths.size == 0:
+        return
+    if lengths.min() == lengths.max():
+        groups = [np.arange(lengths.size)]
+    else:
+        order = np.argsort(lengths, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
+    for rows in groups:
+        size = int(lengths[rows[0]])
+        step = max(1, BLOCK_ELEMENTS // elements(size))
+        for i in range(0, rows.size, step):
+            yield size, rows[i : i + step]
+
+
+def _segment_cumsum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Cumulative sum restarted at every record, computed per record."""
+    out = np.empty_like(x)
+    for size, rows in _equal_size_groups(offsets):
+        idx = offsets[rows, None] + np.arange(size)
+        out[idx] = np.cumsum(x[idx], axis=1)
+    return out
+
+
+def _segment_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-record totals, equal to ``x[record].sum()`` for every record."""
+    out = np.zeros(offsets.size - 1)
+    for size, rows in _equal_size_groups(offsets):
+        out[rows] = x[offsets[rows, None] + np.arange(size)].sum(axis=1)
+    return out
+
+
+class _Packed:
+    """Block iteration shared by the CSR batches."""
+
+    offsets: np.ndarray
+
+    @property
+    def n(self) -> int:
+        """Number of records."""
+        return self.offsets.size - 1
+
+    def _block_sizes(self) -> np.ndarray:
+        # One extra element per record: kernels merge the observation into it.
+        return self.offsets + np.arange(self.offsets.size)
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Consecutive record ranges [lo, hi) of at most BLOCK_ELEMENTS
+        elements, in record order; a larger record is a block of its own."""
+        sizes = self._block_sizes()  # elements before each record
+        n = self.n
+        if sizes[-1] <= BLOCK_ELEMENTS:
+            yield 0, n
+            return
+        lo = 0
+        while lo < n:
+            hi = int(np.searchsorted(sizes, sizes[lo] + BLOCK_ELEMENTS, side="right")) - 1
+            hi = min(max(hi, lo + 1), n)
+            yield lo, hi
+            lo = hi
+
+    def map_blocks(self, fn, *per_record: np.ndarray) -> np.ndarray:
+        """Per-record values of ``fn(block, *arrays sliced to the block)``."""
+        out = np.empty(self.n)
+        for lo, hi in self.blocks():
+            out[lo:hi] = fn(self.block(lo, hi), *(a[lo:hi] for a in per_record))
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class ForecastBatch(_Packed):
+    """Point-mass forecasts of many records, packed in CSR layout.
+
+    Record r has support ``points[offsets[r]:offsets[r+1]]`` (strictly
+    ascending) with masses ``probs`` at the same positions; ``cdf`` holds
+    each record's cumulative masses, accumulated per record and pinned to
+    exactly 1.0 at its last point.  Construction validates every record
+    with the same errors as :class:`DiscreteForecast`.
+    """
+
+    points: np.ndarray
+    probs: np.ndarray
+    offsets: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False)
+    sources: tuple = field(init=False, repr=False, default=())
+
+    def __post_init__(self):
+        points = np.array(self.points, dtype=float)
+        self._pack(points, np.array(self.probs, dtype=float), self.offsets)
+
+    def _pack(self, points: np.ndarray, probs: np.ndarray, offsets) -> None:
+        """Validate and take ownership of float arrays ``points`` and ``probs``."""
+        if points.ndim != 1:
+            raise ValueError("points must be a nonempty one-dimensional sequence")
+        offsets = np.asarray(offsets)
+        if (
+            offsets.ndim != 1
+            or offsets.size == 0
+            or offsets.dtype.kind not in "iu"
+            or offsets[0] != 0
+            or offsets[-1] != points.size
+        ):
+            raise ValueError("offsets must be integers running from 0 to len(points)")
+        offsets = offsets.astype(np.intp)
+        if (offsets[1:] <= offsets[:-1]).any():
+            raise ValueError("points must be a nonempty one-dimensional sequence")
+        if not np.isfinite(points).all():
+            raise ValueError("points must contain only finite values")
+        if probs.ndim != 1:
+            raise ValueError("probs must be one-dimensional")
+        if probs.size != points.size:
+            raise ValueError("points and probs must have the same length")
+        steps = points[1:] - points[:-1]
+        steps[offsets[1:-1] - 1] = np.inf  # no order across records
+        if (steps <= 0).any():
+            raise ValueError("points must be strictly increasing")
+        del steps
+        if not np.isfinite(probs).all() or (probs <= 0).any():
+            raise ValueError("probs must be finite and strictly positive")
+        totals = np.bincount(_record_ids(offsets), weights=probs, minlength=offsets.size - 1)
+        bad = np.abs(totals - 1.0) > MASS_TOL
+        if bad.any():
+            total = float(totals[np.argmax(bad)])
+            raise ValueError(f"probs must sum to 1 within {MASS_TOL}, got {total!r}")
+        cdf = _segment_cumsum(probs, offsets)
+        cdf[offsets[1:] - 1] = 1.0
+        object.__setattr__(self, "points", _readonly(points))
+        object.__setattr__(self, "probs", _readonly(probs))
+        object.__setattr__(self, "offsets", _readonly(offsets))
+        object.__setattr__(self, "cdf", _readonly(cdf))
+
+    @classmethod
+    def from_forecasts(cls, forecasts: Iterable[Forecast]) -> ForecastBatch:
+        """Pack forecasts of any form, converting each form in bulk.
+
+        Histograms keep the centers of their nonempty bins, quantiles get
+        the midpoint partition of (0, 1) with equal values merged, samples
+        become their distinct values with frequencies; point-mass
+        forecasts are taken as they are.  The result holds, per record,
+        exactly what the one-record conversion gives.
+        """
+        forecasts = tuple(forecasts)
+        by_form: dict[type, list[int]] = {}
+        for i, f in enumerate(forecasts):
+            by_form.setdefault(_form_of(f), []).append(i)
+        lengths = np.zeros(len(forecasts), dtype=np.intp)
+        parts = []
+        for form, rows in by_form.items():
+            points, probs, sizes = _TO_MASSES[form]([forecasts[i] for i in rows])
+            lengths[rows] = sizes
+            parts.append((rows, points, probs, sizes))
+        offsets = _offsets(lengths)
+        if len(parts) == 1:  # one form: already in record order
+            _, points, probs, _ = parts.pop()
+        else:
+            points = np.empty(offsets[-1])
+            probs = np.empty(offsets[-1])
+            while parts:
+                rows, part_points, part_probs, sizes = parts.pop()
+                dest = _scatter_index(offsets[rows], sizes)
+                points[dest] = part_points
+                probs[dest] = part_probs
+                del part_points, part_probs, dest
+        batch = object.__new__(cls)
+        batch._pack(points, probs, offsets)
+        object.__setattr__(batch, "sources", forecasts)
+        return batch
+
+    @classmethod
+    def of(cls, forecast: Forecast) -> ForecastBatch:
+        """One-record batch of any forecast form."""
+        if isinstance(forecast, DiscreteForecast):
+            return forecast.batch
+        return cls.from_forecasts([forecast])
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Support size of every record."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    @cached_property
+    def record_ids(self) -> np.ndarray:
+        """Record index of every support point."""
+        return _record_ids(self.offsets)
+
+    def equal_size_groups(
+        self, elements: Callable[[int], int] = lambda size: size
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """(support size, record indices) of equal-size records, in chunks of
+        at most BLOCK_ELEMENTS // elements(size) records (one at least)."""
+        return _equal_size_groups(self.offsets, elements)
+
+    def block(self, lo: int, hi: int) -> ForecastBatch:
+        """Records lo..hi-1 as a batch sharing this batch's arrays."""
+        if lo == 0 and hi == self.n:
+            return self
+        start, stop = self.offsets[lo], self.offsets[hi]
+        sub = object.__new__(ForecastBatch)
+        for name, value in (
+            ("points", self.points[start:stop]),
+            ("probs", self.probs[start:stop]),
+            ("offsets", self.offsets[lo : hi + 1] - start),
+            ("cdf", self.cdf[start:stop]),
+            ("sources", self.sources[lo:hi]),
+        ):
+            object.__setattr__(sub, name, value)
+        return sub
+
+    def record(self, i: int) -> DiscreteForecast:
+        """Record i as a :class:`DiscreteForecast`."""
+        f = object.__new__(DiscreteForecast)
+        f._adopt(self.block(i, i + 1))
+        return f
+
+    def quantiles(self, tau: float) -> np.ndarray:
+        """Generalized inverse CDF of every record at level ``tau``."""
+        below = np.bincount(self.record_ids, weights=self.cdf < tau, minlength=self.n)
+        return self.points[self.offsets[:-1] + np.minimum(below.astype(np.intp), self.lengths - 1)]
+
+    def means(self) -> np.ndarray:
+        return np.bincount(self.record_ids, weights=self.probs * self.points, minlength=self.n)
+
+    def variances(self) -> np.ndarray:
+        centered = self.points - self.means()[self.record_ids]
+        weights = self.probs * (centered * centered)
+        var = np.bincount(self.record_ids, weights=weights, minlength=self.n)
+        # Clamp against negative rounding for near-degenerate supports.
+        return np.maximum(var, 0.0)
+
+    def stds(self) -> np.ndarray:
+        return np.sqrt(self.variances())
+
+    def histograms(self) -> HistogramBatch:
+        """Histogram form of every record (see :class:`HistogramBatch`).
+
+        Built on first use from the forecasts the batch was packed from;
+        converting quantile records issues one :class:`ConversionWarning`.
+        """
+        hists = self.__dict__.get("_histograms")
+        if hists is None:
+            hists = HistogramBatch.from_forecasts(self.sources)
+            self.__dict__["_histograms"] = hists
+            if hists.converted:
+                warnings.warn(
+                    f"{hists.converted} quantile record(s) converted to histograms"
+                    " for density scores",
+                    ConversionWarning,
+                    stacklevel=4,  # the caller of score_batch, through a metric kernel
+                )
+        return hists
+
+
+@dataclass(frozen=True, eq=False)
+class HistogramBatch(_Packed):
+    """Histogram form of many records, packed in CSR layout.
+
+    Record r has bin masses ``probs[offsets[r]:offsets[r+1]]`` and bin
+    edges ``edges[edge_offsets[r]:edge_offsets[r+1]]``.  Records with no
+    density (samples, point masses, single-level quantiles) have no bins.
+    ``converted`` counts the quantile records converted to histograms.
+    """
+
+    edges: np.ndarray
+    probs: np.ndarray
+    offsets: np.ndarray
+    edge_offsets: np.ndarray
+    converted: int = 0
+
+    @classmethod
+    def from_forecasts(cls, forecasts: Iterable[Forecast]) -> HistogramBatch:
+        """Histograms as they are; quantiles through their level gaps."""
+        forecasts = tuple(forecasts)
+        hist_rows = [i for i, f in enumerate(forecasts) if isinstance(f, HistogramForecast)]
+        quant_rows = [
+            i for i, f in enumerate(forecasts)
+            if isinstance(f, QuantileForecast) and f.levels.size >= 2
+        ]
+        bins = np.zeros(len(forecasts), dtype=np.intp)
+        bins[hist_rows] = [forecasts[i].probs.size for i in hist_rows]
+        bins[quant_rows] = [forecasts[i].levels.size - 1 for i in quant_rows]
+        offsets = _offsets(bins)
+        edge_offsets = _offsets(bins + (bins > 0))
+        edges = np.empty(edge_offsets[-1])
+        probs = np.empty(offsets[-1])
+
+        def place(rows, part_edges, part_probs):
+            if len(rows) == len(forecasts):  # one form: already in record order
+                probs[:], edges[:] = part_probs, part_edges
+                return
+            probs[_scatter_index(offsets[rows], bins[rows])] = part_probs
+            edges[_scatter_index(edge_offsets[rows], bins[rows] + 1)] = part_edges
+
+        if hist_rows:
+            hists = [forecasts[i] for i in hist_rows]
+            place(hist_rows, np.concatenate([h.edges for h in hists]),
+                  np.concatenate([h.probs for h in hists]))
+        if quant_rows:
+            part_edges, masses, sizes = _quantile_bins([forecasts[i] for i in quant_rows])
+            masses /= np.repeat(_segment_sums(masses, _offsets(sizes)), sizes)
+            place(quant_rows, part_edges, masses)
+        return cls(edges, probs, offsets, edge_offsets, converted=len(quant_rows))
+
+    @property
+    def defined(self) -> np.ndarray:
+        """Whether each record has a histogram."""
+        return self.offsets[1:] > self.offsets[:-1]
+
+    @property
+    def record_ids(self) -> np.ndarray:
+        """Record index of every bin."""
+        return _record_ids(self.offsets)
+
+    def _block_sizes(self) -> np.ndarray:
+        return self.edge_offsets
+
+    def block(self, lo: int, hi: int) -> HistogramBatch:
+        if lo == 0 and hi == self.n:
+            return self
+        start, stop = self.offsets[lo], self.offsets[hi]
+        e_start, e_stop = self.edge_offsets[lo], self.edge_offsets[hi]
+        return HistogramBatch(
+            self.edges[e_start:e_stop],
+            self.probs[start:stop],
+            self.offsets[lo : hi + 1] - start,
+            self.edge_offsets[lo : hi + 1] - e_start,
+        )
+
+    def bin_index(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(bin index, inside) per record for observations ``y``.
+
+        Bins are left-closed and right-open, except the last bin which is
+        closed on both sides.  Outside the grid the index is that of the
+        nearest bin and ``inside`` is False; records without a histogram
+        get index 0 and are never inside.
+        """
+        defined = self.defined
+        counts = self.edge_offsets[1:] - self.edge_offsets[:-1]
+        erec = _record_ids(self.edge_offsets)
+        at_or_below = np.bincount(erec, weights=self.edges <= y[erec], minlength=self.n)
+        k = np.clip(at_or_below.astype(np.intp) - 1, 0, np.maximum(counts - 2, 0))
+        inside = np.zeros(self.n, dtype=bool)
+        first = self.edges[self.edge_offsets[:-1][defined]]
+        last = self.edges[self.edge_offsets[1:][defined] - 1]
+        inside[defined] = (y[defined] >= first) & (y[defined] <= last)
+        return k, inside
+
+
+def _form_of(forecast) -> type:
+    for form in _TO_MASSES:
+        if isinstance(forecast, form):
+            return form
+    raise TypeError(f"not a forecast: {type(forecast).__name__}")
+
+
+def _scatter_index(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Flat destination of consecutive segments of ``sizes`` placed at ``starts``."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    return np.repeat(starts - _offsets(sizes)[:-1], sizes) + np.arange(sizes.sum())
+
+
+def _histogram_masses(hists: list[HistogramForecast]):
+    edges = np.concatenate([h.edges for h in hists])
+    probs = np.concatenate([h.probs for h in hists])
+    rec = np.repeat(np.arange(len(hists)), [h.probs.size for h in hists])
+    # Bin b of record r is bounded by flat edges b + r and b + r + 1.
+    left = np.arange(probs.size) + rec
+    centers = 0.5 * (edges[left] + edges[left + 1])
+    keep = probs > 0
+    return centers[keep], probs[keep], np.bincount(rec[keep], minlength=len(hists))
+
+
+def _quantile_masses(quants: list[QuantileForecast]):
+    levels = np.concatenate([q.levels for q in quants])
+    values = np.concatenate([q.values for q in quants])
+    offsets = _offsets([q.levels.size for q in quants])
+    rec = _record_ids(offsets)
+    # Each value carries the mass between the midpoints to its neighbors;
+    # the outer values run to 0 and 1.
+    mids = 0.5 * (levels[:-1] + levels[1:])
+    first = np.zeros(levels.size, dtype=bool)
+    first[offsets[:-1]] = True
+    last = np.zeros(levels.size, dtype=bool)
+    last[offsets[1:] - 1] = True
+    upper = np.ones(levels.size)
+    upper[~last] = mids[np.flatnonzero(~last)]
+    lower = np.zeros(levels.size)
+    lower[~first] = mids[np.flatnonzero(~first) - 1]
+    probs = upper - lower
+    new = _run_starts(values, offsets)
+    merged = np.bincount(np.cumsum(new) - 1, weights=probs)
+    return values[new], merged, np.bincount(rec[new], minlength=len(quants))
+
+
+def _sample_masses(samples: list[SampleForecast]):
+    values = np.concatenate([s.values for s in samples])
+    offsets = _offsets([s.values.size for s in samples])
+    rec = _record_ids(offsets)
+    values = values[np.lexsort((values, rec))]
+    new = _run_starts(values, offsets)
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, values.size))
+    probs = counts / np.diff(offsets)[rec[new]]
+    return values[new], probs, np.bincount(rec[new], minlength=len(samples))
+
+
+def _discrete_masses(forecasts: list[DiscreteForecast]):
+    return (
+        np.concatenate([f.points for f in forecasts]),
+        np.concatenate([f.probs for f in forecasts]),
+        np.array([f.points.size for f in forecasts], dtype=np.intp),
+    )
+
+
+_TO_MASSES = {
+    DiscreteForecast: _discrete_masses,
+    HistogramForecast: _histogram_masses,
+    QuantileForecast: _quantile_masses,
+    SampleForecast: _sample_masses,
+}
+
+
+def _spread_equal_runs(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Strictly increasing copy of per-record sorted ``values``.
+
+    Runs of equal values are spread symmetrically around the shared value
+    by eps_w = max(1e-9, 1e-9 * |value|) per step, keeping zero-width bins
+    finite without shifting their location.
+    """
+    edges = np.array(values, dtype=float)
+    boundary = offsets[1:-1] - 1  # step from a record's last value to the next record's first
+    tied = edges[1:] == edges[:-1]
+    tied[boundary] = False
+    pairs = np.flatnonzero(tied)
+    if pairs.size:
+        opens = np.ones(pairs.size, dtype=bool)
+        opens[1:] = pairs[1:] != pairs[:-1] + 1
+        first = pairs[opens]
+        size = np.diff(np.append(np.flatnonzero(opens), pairs.size)) + 1
+        step = np.arange(size.sum()) - np.repeat(_offsets(size)[:-1], size)
+        at = np.repeat(first, size) + step
+        v = edges[at]
+        eps = np.maximum(1e-9, 1e-9 * np.abs(v))
+        edges[at] = v + eps * (step - np.repeat((size - 1) / 2, size))
+    # Guard for pathological near-ties after spreading, record by record.
+    steps = edges[1:] - edges[:-1]
+    steps[boundary] = np.inf
+    for r in np.unique(np.searchsorted(offsets, np.flatnonzero(steps <= 0), side="right") - 1):
+        for k in range(offsets[r] + 1, offsets[r + 1]):
+            if edges[k] <= edges[k - 1]:
+                edges[k] = np.nextafter(edges[k - 1], np.inf)
+    return edges
+
+
+def _quantile_bins(quants: list[QuantileForecast]):
+    """Bin edges (spread quantile values), raw bin masses (level gaps) and bin counts."""
+    offsets = _offsets([q.values.size for q in quants])
+    edges = _spread_equal_runs(np.concatenate([q.values for q in quants]), offsets)
+    levels = np.concatenate([q.levels for q in quants])
+    gaps = np.diff(levels)
+    within = np.ones(gaps.size, dtype=bool)
+    within[offsets[1:-1] - 1] = False
+    return edges, gaps[within], np.diff(offsets) - 1
+
+
 def histogram_to_discrete(h: HistogramForecast) -> DiscreteForecast:
     """Collapse a histogram to point masses at the centers of nonempty bins."""
-    centers = 0.5 * (h.edges[:-1] + h.edges[1:])
-    keep = h.probs > 0
-    return DiscreteForecast(centers[keep], h.probs[keep])
+    return to_discrete(h)
 
 
 def quantiles_to_discrete(q: QuantileForecast) -> DiscreteForecast:
@@ -219,39 +705,7 @@ def quantiles_to_discrete(q: QuantileForecast) -> DiscreteForecast:
     neighboring levels (the outer values absorb the open tails), so all
     mass stays on observed values.  Equal values are merged.
     """
-    levels, values = q.levels, q.values
-    bounds = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [1.0]))
-    probs = np.diff(bounds)
-    points, inverse = np.unique(values, return_inverse=True)
-    merged = np.zeros(points.size)
-    np.add.at(merged, inverse, probs)
-    return DiscreteForecast(points, merged)
-
-
-def _spread_equal_runs(values: np.ndarray) -> np.ndarray:
-    """Strictly increasing copy of sorted ``values``.
-
-    Runs of equal values are spread symmetrically around the shared value
-    by eps_w = max(1e-9, 1e-9 * |value|) per step, keeping zero-width bins
-    finite without shifting their location.
-    """
-    edges = np.asarray(values, dtype=float).copy()
-    i = 0
-    n = edges.size
-    while i < n:
-        j = i
-        while j + 1 < n and edges[j + 1] == edges[i]:
-            j += 1
-        if j > i:
-            v = edges[i]
-            eps = max(1e-9, 1e-9 * abs(v))
-            edges[i : j + 1] = v + eps * np.linspace(-(j - i) / 2, (j - i) / 2, j - i + 1)
-        i = j + 1
-    # Guard for pathological near-ties after spreading.
-    for k in range(1, n):
-        if edges[k] <= edges[k - 1]:
-            edges[k] = np.nextafter(edges[k - 1], np.inf)
-    return edges
+    return to_discrete(q)
 
 
 def quantiles_to_histogram(q: QuantileForecast) -> HistogramForecast:
@@ -262,27 +716,20 @@ def quantiles_to_histogram(q: QuantileForecast) -> HistogramForecast:
     """
     if q.levels.size < 2:
         raise NotConvertibleError("at least two quantile levels are needed to form bins")
-    edges = _spread_equal_runs(q.values)
-    return HistogramForecast(edges, np.diff(q.levels))
+    edges, masses, _ = _quantile_bins([q])
+    return HistogramForecast(edges, masses)
 
 
 def samples_to_discrete(s: SampleForecast) -> DiscreteForecast:
     """Empirical distribution of the samples: distinct values, frequencies."""
-    points, counts = np.unique(s.values, return_counts=True)
-    return DiscreteForecast(points, counts / s.values.size)
+    return to_discrete(s)
 
 
 def to_discrete(forecast: Forecast) -> DiscreteForecast:
     """Convert any forecast form to the canonical point-mass form."""
     if isinstance(forecast, DiscreteForecast):
         return forecast
-    if isinstance(forecast, HistogramForecast):
-        return histogram_to_discrete(forecast)
-    if isinstance(forecast, QuantileForecast):
-        return quantiles_to_discrete(forecast)
-    if isinstance(forecast, SampleForecast):
-        return samples_to_discrete(forecast)
-    raise TypeError(f"not a forecast: {type(forecast).__name__}")
+    return ForecastBatch.from_forecasts([forecast]).record(0)
 
 
 def to_histogram(forecast: Forecast) -> HistogramForecast:

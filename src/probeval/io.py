@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     AmbiguousFormError,
     DuplicateKeyError,
@@ -44,6 +42,8 @@ _FORM_FIELDS = {
     "samples": ("values",),
 }
 _ALL_FORM_FIELDS = ("edges", "probs", "levels", "values")
+
+_SCORE_ROWS_PER_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,9 @@ def _parse_forecast_line(line: str, line_no: int) -> ForecastRecord:
         if key not in obj:
             raise RecordParseError(line_no, f"missing field {key!r}")
     target = obj["target"]
-    if not isinstance(target, (int, float)) or not math.isfinite(target):
+    # bool is an int subclass, but JSON true/false is not a number.
+    is_number = isinstance(target, (int, float)) and not isinstance(target, bool)
+    if not is_number or not math.isfinite(target):
         raise RecordParseError(line_no, f"target must be a finite number, got {target!r}")
     try:
         if form == "histogram":
@@ -90,7 +92,7 @@ def _parse_forecast_line(line: str, line_no: int) -> ForecastRecord:
             forecast = QuantileForecast(obj["levels"], obj["values"])
         else:
             forecast = SampleForecast(obj["values"])
-    except (ValueError, ProbevalError) as exc:
+    except (ValueError, TypeError, ProbevalError) as exc:
         raise RecordParseError(line_no, str(exc)) from None
     return ForecastRecord(id=str(obj["id"]), target=float(target), forecast=forecast)
 
@@ -216,16 +218,24 @@ def write_scores(
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "target", *names])
-        for i, rec in enumerate(records):
-            cells = []
+        # Cells are formatted a column at a time, in row chunks so that only
+        # one chunk's strings are alive at once.
+        for lo in range(0, len(records), _SCORE_ROWS_PER_CHUNK):
+            chunk = records[lo : lo + _SCORE_ROWS_PER_CHUNK]
+            columns = [[rec.id for rec in chunk], [repr(rec.target) for rec in chunk]]
             for name in names:
                 values = results[name].values
-                if values is None or np.isnan(values[i]):
-                    cells.append("")
+                if values is None:
+                    columns.append([""] * len(chunk))
                 else:
-                    cells.append(repr(float(values[i])))
-            writer.writerow([rec.id, repr(rec.target), *cells])
+                    cells = values[lo : lo + len(chunk)].tolist()
+                    columns.append(["" if math.isnan(v) else repr(v) for v in cells])
+            writer.writerows(zip(*columns))
         writer.writerow(["mean", "", *[repr(results[name].mean) for name in names]])
+
+
+def _numbers(values) -> bool:
+    return isinstance(values, list) and all(isinstance(v, (int, float)) for v in values)
 
 
 @dataclass(frozen=True)
@@ -257,15 +267,17 @@ def validate_forecast_file(path) -> tuple[int, int, list[Violation]]:
             except ValueError:
                 pass
             if isinstance(raw, dict):
-                for field in ("probs",):
-                    if field in raw and isinstance(raw[field], list) and raw[field]:
-                        total = math.fsum(float(v) for v in raw[field])
-                        if abs(total - 1.0) > 1e-9:
-                            violations.append(
-                                Violation(line_no, f"probability mass sums to {total!r}, not 1")
-                            )
+                # The raw checks read lists of numbers only; anything else
+                # is reported by the parse below.
+                probs = raw.get("probs")
+                if _numbers(probs) and probs:
+                    total = math.fsum(probs)
+                    if abs(total - 1.0) > 1e-9:
+                        violations.append(
+                            Violation(line_no, f"probability mass sums to {total!r}, not 1")
+                        )
                 values = raw.get("values")
-                if raw.get("type") == "quantiles" and isinstance(values, list):
+                if raw.get("type") == "quantiles" and _numbers(values):
                     if any(b < a for a, b in zip(values, values[1:])):
                         repaired += 1
                         violations.append(

@@ -83,13 +83,17 @@ class LeaderboardRow:
     average_rank: float
 
 
-def aggregate_folds(records: Iterable[RunRecord], metric: str) -> ScoreMatrix:
+def aggregate_folds(records: Iterable[RunRecord], metric: str | MetricSpec) -> ScoreMatrix:
     """Average folds into one score per (model, dataset) for one metric.
 
+    ``metric`` is a built-in identifier or a :class:`MetricSpec`, whose
+    name selects the run records and whose orientation the matrix takes.
     Datasets on which any model is missing are dropped (complete-case)
     with a :class:`DroppedDatasetWarning`.  Fold means use exact summation
     so that duplicated folds cannot perturb the result.
     """
+    spec = resolve_metric(metric) if isinstance(metric, str) else metric
+    metric = spec.name
     rows = [r for r in records if r.metric == metric]
     if not rows:
         raise NotComparableError(f"no run records for metric {metric!r}")
@@ -120,7 +124,7 @@ def aggregate_folds(records: Iterable[RunRecord], metric: str) -> ScoreMatrix:
         models=tuple(models),
         datasets=tuple(complete),
         values=values,
-        orientation=resolve_metric(metric).orientation,
+        orientation=spec.orientation,
     )
 
 
@@ -224,7 +228,7 @@ def build_leaderboard(
     rank and model name for full determinism; ranks run 1..M.
     """
     spec = resolve_metric(metric) if isinstance(metric, str) else metric
-    matrix = aggregate_folds(records, spec.name)
+    matrix = aggregate_folds(records, spec)
     matrix = drop_zero_variance(matrix)
     ranks = rank_transform(matrix)
     avg_ranks, observed = observed_statistics(ranks, matrix)

@@ -16,35 +16,39 @@ The step-CDF integrands are piecewise constant between support points, so
 CRPS, CRLS, and wCRPS reduce to finite sums over segments; the wCRPS
 weight factor is integrated per segment with the exact Gaussian
 antiderivatives (the antiderivative of the normal CDF is z*cdf(z)+pdf(z)).
+
+Every metric is one batch kernel ``(batch, targets, spec)`` over a
+:class:`ForecastBatch` that returns per-record values or one batch value;
+the scalar functions (``crps(f, y)`` and so on) run the same kernel on a
+one-record batch.  Kernels work block by block, so their temporaries stay
+within ``forecast.BLOCK_ELEMENTS`` elements whatever the batch size.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr
 
-from . import diagnostics
 from .errors import (
     ConversionWarning,
     EmptyBatchError,
     InvalidBetaError,
     InvalidLevelError,
     InvalidScaleError,
-    NotConvertibleError,
     OutsideSupportError,
     UnknownMetricError,
 )
 from .forecast import (
     DiscreteForecast,
+    Forecast,
+    ForecastBatch,
+    HistogramBatch,
     HistogramForecast,
-    QuantileForecast,
-    quantiles_to_histogram,
-    to_discrete,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,14 +67,28 @@ WEIGHT_KINDS = ("left", "right", "center", "unit")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# Pair-matrix elements the energy score takes per pass from all records of
+# one support size.  Slabs follow from the support sizes in the batch, never
+# from the block budget, so no score depends on where the blocks fall.
+_PAIR_SLAB_ELEMENTS = 4096
+
+# A kernel scores a whole batch: per-record values (NaN where undefined) or
+# one batch-level value (NaN when undefined for the batch).
+Kernel = Callable[[ForecastBatch, np.ndarray, "MetricSpec"], Union[np.ndarray, float]]
+
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Identity, orientation, and parameters of one metric.
+    """Identity, orientation, parameters and kernel of one metric.
 
     ``alpha`` is the mass outside a central prediction interval, ``beta``
-    the energy-score exponent, ``weight_kind`` selects the wCRPS weight
-    and ``weight_loc``/``weight_scale`` its climatological reference.
+    the energy-score exponent, ``level`` the nominal coverage of a central
+    interval, ``weight_kind`` selects the wCRPS weight and
+    ``weight_loc``/``weight_scale`` its climatological reference.
+    ``kernel`` computes the metric; when omitted it follows from the
+    parameter that is set (beta: energy score, alpha: interval score,
+    weight_kind: wCRPS, level: coverage) or from the built-in metric of
+    the same name.
     """
 
     name: str
@@ -80,6 +98,8 @@ class MetricSpec:
     weight_kind: str | None = None
     weight_loc: float | None = None
     weight_scale: float | None = None
+    level: float | None = None
+    kernel: Kernel | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.orientation not in (LOWER_BETTER, HIGHER_BETTER):
@@ -88,103 +108,84 @@ class MetricSpec:
             raise InvalidLevelError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.beta is not None and not 0.0 < self.beta <= 2.0:
             raise InvalidBetaError(f"beta must be in (0, 2], got {self.beta}")
+        if self.level is not None and not 0.0 < self.level < 1.0:
+            raise InvalidLevelError(f"coverage level must be in (0, 1), got {self.level}")
         if self.weight_kind is not None and self.weight_kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind: {self.weight_kind!r}")
+        if self.kernel is None:
+            object.__setattr__(self, "kernel", _implied_kernel(self))
 
 
-def _builtin_specs() -> dict[str, MetricSpec]:
-    specs: dict[str, MetricSpec] = {}
-    for name in ("mae", "rmse", "crps", "crls", "log_score", "brier_score"):
-        specs[name] = MetricSpec(name)
-    specs["r2"] = MetricSpec("r2", orientation=HIGHER_BETTER)
-    for beta in ENERGY_BETAS:
-        specs[f"energy_score_beta_{beta}"] = MetricSpec(
-            f"energy_score_beta_{beta}", beta=beta
-        )
-    for kind in ("left", "right", "center"):
-        specs[f"wcrps_{kind}"] = MetricSpec(f"wcrps_{kind}", weight_kind=kind)
-    specs["interval_score_90"] = MetricSpec("interval_score_90", alpha=0.10)
-    specs["interval_score_95"] = MetricSpec("interval_score_95", alpha=0.05)
-    # Calibration diagnostics share the identifier namespace so they can be
-    # requested through the same batch interface.
-    for name in ("sharpness", "dispersion", "coverage_90", "coverage_95"):
-        specs[name] = MetricSpec(name)
-    return specs
+def _implied_kernel(spec: MetricSpec) -> Kernel | None:
+    implied = [kernel for param, kernel in _PARAMETER_KERNELS if getattr(spec, param) is not None]
+    if len(implied) > 1:
+        raise ValueError(f"metric {spec.name!r}: parameters imply more than one kernel")
+    if implied:
+        return implied[0]
+    builtin = _REGISTRY.get(spec.name)
+    return builtin.kernel if builtin is not None else None
 
 
-_REGISTRY = _builtin_specs()
+def _segments(b: ForecastBatch, y: np.ndarray):
+    """Pieces of the piecewise-constant CRPS-type integrands of a block.
 
-METRIC_NAMES: tuple[str, ...] = tuple(_REGISTRY)
-
-
-def resolve_metric(name: str) -> MetricSpec:
-    """Look up a metric identifier, e.g. ``crps`` or ``wcrps_left``."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        valid = ", ".join(METRIC_NAMES)
-        raise UnknownMetricError(f"unknown metric {name!r}; valid identifiers: {valid}") from None
-
-
-def _segments(f: DiscreteForecast, y: float):
-    """Breakpoints of the piecewise-constant integrands over support + {y}.
-
-    Returns (left endpoints, widths); outside this window the integrands
-    of CRPS/CRLS/wCRPS are identically zero.
+    Each record's support is merged with its observation; every merged
+    value but the last opens one piece, so a record has as many pieces as
+    support points (a zero-width one where y equals a point).  Returns,
+    per piece, (record, left end, width, F(left), 1[left >= y]); outside
+    the pieces the integrands are identically zero.
     """
-    xs = np.unique(np.append(f.points, y))
-    return xs[:-1], np.diff(xs)
+    n, size = b.n, b.points.size
+    rec = b.record_ids
+    starts = b.offsets[:-1]
+    at_or_below = np.bincount(rec, weights=b.points <= y[rec], minlength=n).astype(np.intp)
+    y_at = starts + np.arange(n) + at_or_below
+    # Points above y move one slot up to make room for it.
+    point_at = np.arange(size) + rec + (np.arange(size) - starts[rec] >= at_or_below[rec])
+    xs = np.empty(size + n)
+    xs[point_at] = b.points
+    xs[y_at] = y
+    cdf = np.empty(size + n)
+    cdf[point_at] = b.cdf
+    cdf[y_at] = np.where(at_or_below > 0, b.cdf[starts + at_or_below - 1], 0.0)
+    opens = np.ones(size + n, dtype=bool)
+    opens[b.offsets[1:] + np.arange(n)] = False
+    left = xs[opens]
+    width = xs[1:][opens[:-1]] - left
+    return rec, left, width, cdf[opens], left >= y[rec]
 
 
-def crps(f: DiscreteForecast, y: float) -> float:
-    """Continuous Ranked Probability Score, exact for point-mass forecasts."""
-    left, widths = _segments(f, y)
-    if widths.size == 0:
-        return 0.0
-    diff = f.cdf(left) - (left >= y)
-    return float(np.dot(widths, diff * diff))
+def _crps_block(b: ForecastBatch, y: np.ndarray) -> np.ndarray:
+    rec, _, width, cdf, above = _segments(b, y)
+    diff = cdf - above
+    return np.bincount(rec, weights=width * (diff * diff), minlength=b.n)
 
 
-def crls(f: DiscreteForecast, y: float) -> float:
-    """Continuous Ranked Logarithmic Score (exceedance-probability form).
-
-    The integrand -log|F(x) + 1[y <= x] - 1| diverges where the forecast
-    puts zero mass on the observed side; the argument is clamped at 1e-12,
-    which turns impossible-event observations into large finite penalties
-    that grow with the size of the violation.
-    """
-    left, widths = _segments(f, y)
-    if widths.size == 0:
-        return 0.0
-    arg = np.abs(f.cdf(left) + (left >= y) - 1.0)
-    return float(np.dot(widths, -np.log(np.maximum(arg, EPS_LOG))))
+def _crls_block(b: ForecastBatch, y: np.ndarray) -> np.ndarray:
+    rec, _, width, cdf, above = _segments(b, y)
+    arg = np.abs(cdf + above - 1.0)
+    return np.bincount(rec, weights=width * -np.log(np.maximum(arg, EPS_LOG)), minlength=b.n)
 
 
-def energy_score(f: DiscreteForecast, y: float, beta: float) -> float:
-    """beta-energy score via the exact double sum over point masses.
-
-    beta=1 reproduces CRPS; beta=2 collapses to the squared error of the
-    forecast mean.  O(J^2) in the support size.
-    """
-    if not 0.0 < beta <= 2.0:
-        raise InvalidBetaError(f"beta must be in (0, 2], got {beta}")
-    dist_y = np.abs(f.points - y) ** beta
-    cross = np.abs(f.points[:, None] - f.points[None, :]) ** beta
-    return float(f.probs @ dist_y - 0.5 * f.probs @ cross @ f.probs)
+def _energy_to_obs(b: ForecastBatch, y: np.ndarray, beta: float) -> np.ndarray:
+    rec = b.record_ids
+    return np.bincount(rec, weights=b.probs * np.abs(b.points - y[rec]) ** beta, minlength=b.n)
 
 
-def interval_score(f: DiscreteForecast, y: float, alpha: float) -> float:
-    """Interval score of the central (1 - alpha) prediction interval."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidLevelError(f"alpha must be in (0, 1), got {alpha}")
-    lower = f.quantile(alpha / 2.0)
-    upper = f.quantile(1.0 - alpha / 2.0)
-    score = upper - lower
-    if y < lower:
-        score += (2.0 / alpha) * (lower - y)
-    elif y > upper:
-        score += (2.0 / alpha) * (y - upper)
-    return float(score)
+def _interval_block(b: ForecastBatch, y: np.ndarray, alpha: float) -> np.ndarray:
+    lower = b.quantiles(alpha / 2.0)
+    upper = b.quantiles(1.0 - alpha / 2.0)
+    penalty = np.where(
+        y < lower,
+        (2.0 / alpha) * (lower - y),
+        np.where(y > upper, (2.0 / alpha) * (y - upper), 0.0),
+    )
+    return (upper - lower) + penalty
+
+
+def _covered_block(b: ForecastBatch, y: np.ndarray, level: float) -> np.ndarray:
+    alpha = 1.0 - level
+    return ((b.quantiles(alpha / 2.0) <= y) & (y <= b.quantiles(1.0 - alpha / 2.0))).astype(float)
 
 
 def _norm_pdf(z: np.ndarray) -> np.ndarray:
@@ -204,9 +205,241 @@ def _weight_integral(kind: str, a: np.ndarray, b: np.ndarray, loc: float, scale:
     prim_b = zb * ndtr(zb) + _norm_pdf(zb)
     if kind == "right":
         return scale * (prim_b - prim_a)
-    if kind == "left":
-        return scale * ((zb - prim_b) - (za - prim_a))
-    raise ValueError(f"unknown weight kind: {kind!r}")
+    return scale * ((zb - prim_b) - (za - prim_a))
+
+
+def _wcrps_block(b: ForecastBatch, y: np.ndarray, kind: str, loc: float, scale: float):
+    rec, left, width, cdf, above = _segments(b, y)
+    diff = cdf - above
+    w = _weight_integral(kind, left, left + width, loc, scale)
+    return np.bincount(rec, weights=(diff * diff) * w, minlength=b.n)
+
+
+def crps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    return batch.map_blocks(_crps_block, targets)
+
+
+def crls_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    return batch.map_blocks(_crls_block, targets)
+
+
+def energy_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    beta = spec.beta
+    out = batch.map_blocks(lambda b, y: _energy_to_obs(b, y, beta), targets)
+    # Many records of one size share each pass over their pair matrices,
+    # so they take one row per pass; a few take larger slabs, which keeps
+    # the passes few for a one-record batch.
+    records_of_size = np.bincount(batch.lengths)
+
+    def slab(size: int) -> int:
+        return max(1, min(size, _PAIR_SLAB_ELEMENTS // (size * records_of_size[size])))
+
+    for size, rows in batch.equal_size_groups(lambda j: slab(j) * j):
+        cols = batch.offsets[rows, None] + np.arange(size)
+        out[rows] -= _energy_pairs(batch.points[cols], batch.probs[cols], beta, slab(size))
+    return out
+
+
+def _energy_pairs(x: np.ndarray, p: np.ndarray, beta: float, slab: int) -> np.ndarray:
+    """0.5 E|X - X'|^b per row of ``x``: the sum over pairs i < j.
+
+    Rows hold equal-size ascending supports.  The pair matrix is taken
+    ``slab`` rows at a time, against the columns right of the slab's first
+    row; pairs with j <= i give x_j - x_i <= 0 and are clipped to zero.
+    """
+    size = x.shape[1]
+    cross = np.zeros(x.shape[0])
+    for lo in range(0, size - 1, slab):
+        hi = min(lo + slab, size - 1)
+        d = x[:, None, lo + 1 :] - x[:, lo:hi, None]
+        np.maximum(d, 0.0, out=d)
+        d **= beta
+        d *= p[:, lo:hi, None]
+        d *= p[:, None, lo + 1 :]
+        cross += d.sum(axis=2).sum(axis=1)
+    return cross
+
+
+def interval_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec):
+    return batch.map_blocks(lambda b, y: _interval_block(b, y, spec.alpha), targets)
+
+
+def wcrps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    """wCRPS; without an explicit reference the weights center on the
+    whole batch's target mean and population standard deviation."""
+    if spec.weight_loc is None or spec.weight_scale is None:
+        loc, scale = float(np.mean(targets)), float(np.std(targets))
+        if scale <= 0.0:
+            raise InvalidScaleError(
+                "batch targets have zero spread; pass an explicit weight reference"
+            )
+    else:
+        loc, scale = float(spec.weight_loc), float(spec.weight_scale)
+        if scale <= 0.0:
+            raise InvalidScaleError(f"weight scale must be > 0, got {scale}")
+    kind = spec.weight_kind or "unit"
+    return batch.map_blocks(lambda b, y: _wcrps_block(b, y, kind, loc, scale), targets)
+
+
+def _log_block(h: HistogramBatch, y: np.ndarray) -> np.ndarray:
+    out = np.full(h.n, math.nan)
+    k, inside = h.bin_index(y)
+    rows = np.flatnonzero(h.defined)
+    at = h.offsets[rows] + k[rows]
+    edge = h.edge_offsets[rows] + k[rows]
+    p = np.where(inside[rows], np.maximum(h.probs[at], EPS_DENSITY), EPS_DENSITY)
+    out[rows] = -np.log(p / (h.edges[edge + 1] - h.edges[edge]))
+    return out
+
+
+def _brier_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
+    out = np.full(hists.n, math.nan)
+    for lo, hi in hists.blocks():
+        h, y = hists.block(lo, hi), targets[lo:hi]
+        k, inside = h.bin_index(y)
+        outside = h.defined & ~inside
+        if outside.any():
+            r = int(np.argmax(outside))
+            first, last = h.edges[h.edge_offsets[r]], h.edges[h.edge_offsets[r + 1] - 1]
+            raise OutsideSupportError(
+                f"observation {float(y[r])} outside histogram support"
+                f" [{float(first)}, {float(last)}]",
+                index=lo + r,
+            )
+        rows = np.flatnonzero(h.defined)
+        total = np.bincount(h.record_ids, weights=h.probs * h.probs, minlength=h.n)
+        out[lo + rows] = total[rows] - 2.0 * h.probs[h.offsets[rows] + k[rows]] + 1.0
+    return out
+
+
+def log_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    """Histogram log score; NaN for records without a histogram form."""
+    return batch.histograms().map_blocks(_log_block, targets)
+
+
+def brier_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    """Histogram Brier score; NaN for records without a histogram form.
+
+    Raises :class:`OutsideSupportError` for the first record, in record
+    order, whose observation lies outside its grid.
+    """
+    return _brier_scores(batch.histograms(), targets)
+
+
+def _medians_and_means(batch: ForecastBatch) -> tuple[np.ndarray, np.ndarray]:
+    return batch.map_blocks(lambda b: b.quantiles(0.5)), batch.map_blocks(ForecastBatch.means)
+
+
+def mae_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    return np.abs(targets - batch.map_blocks(lambda b: b.quantiles(0.5)))
+
+
+def rmse_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> float:
+    return point_metrics(*_medians_and_means(batch), targets).rmse
+
+
+def r2_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> float:
+    r2 = point_metrics(*_medians_and_means(batch), targets).r2
+    return math.nan if r2 is None else r2
+
+
+def sharpness_kernel(batch: ForecastBatch, targets, spec: MetricSpec) -> np.ndarray:
+    """Per-record predictive standard deviation."""
+    return batch.map_blocks(ForecastBatch.stds)
+
+
+def dispersion_kernel(batch: ForecastBatch, targets, spec: MetricSpec) -> float:
+    """Population standard deviation of the per-record standard deviations."""
+    return float(np.std(sharpness_kernel(batch, targets, spec)))
+
+
+def coverage_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    """1.0 where y lies in the central ``spec.level`` interval, bounds inclusive."""
+    return batch.map_blocks(lambda b, y: _covered_block(b, y, spec.level), targets)
+
+
+_PARAMETER_KERNELS = (
+    ("beta", energy_score_kernel),
+    ("alpha", interval_score_kernel),
+    ("weight_kind", wcrps_kernel),
+    ("level", coverage_kernel),
+)
+
+_REGISTRY: dict[str, MetricSpec] = {}
+
+
+def _builtin_specs() -> list[MetricSpec]:
+    specs = [
+        MetricSpec("mae", kernel=mae_kernel),
+        MetricSpec("rmse", kernel=rmse_kernel),
+        MetricSpec("crps", kernel=crps_kernel),
+        MetricSpec("crls", kernel=crls_kernel),
+        MetricSpec("log_score", kernel=log_score_kernel),
+        MetricSpec("brier_score", kernel=brier_score_kernel),
+        MetricSpec("r2", orientation=HIGHER_BETTER, kernel=r2_kernel),
+    ]
+    specs += [MetricSpec(f"energy_score_beta_{beta}", beta=beta) for beta in ENERGY_BETAS]
+    specs += [MetricSpec(f"wcrps_{kind}", weight_kind=kind) for kind in ("left", "right", "center")]
+    specs += [
+        MetricSpec("interval_score_90", alpha=0.10),
+        MetricSpec("interval_score_95", alpha=0.05),
+        # Calibration diagnostics share the identifier namespace so they can
+        # be requested through the same batch interface.
+        MetricSpec("sharpness", kernel=sharpness_kernel),
+        MetricSpec("dispersion", kernel=dispersion_kernel),
+        MetricSpec("coverage_90", level=0.90),
+        MetricSpec("coverage_95", level=0.95),
+    ]
+    return specs
+
+
+_REGISTRY.update((spec.name, spec) for spec in _builtin_specs())
+
+METRIC_NAMES: tuple[str, ...] = tuple(_REGISTRY)
+
+
+def resolve_metric(name: str) -> MetricSpec:
+    """Look up a metric identifier, e.g. ``crps`` or ``wcrps_left``."""
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        valid = ", ".join(METRIC_NAMES)
+        raise UnknownMetricError(f"unknown metric {name!r}; valid identifiers: {valid}") from None
+
+
+def _one(spec: MetricSpec, forecast: Forecast, y: float) -> float:
+    """A kernel's value on the one-record batch of ``forecast``."""
+    return float(spec.kernel(ForecastBatch.of(forecast), np.array([y], dtype=float), spec)[0])
+
+
+def crps(f: DiscreteForecast, y: float) -> float:
+    """Continuous Ranked Probability Score, exact for point-mass forecasts."""
+    return _one(_REGISTRY["crps"], f, y)
+
+
+def crls(f: DiscreteForecast, y: float) -> float:
+    """Continuous Ranked Logarithmic Score (exceedance-probability form).
+
+    The integrand -log|F(x) + 1[y <= x] - 1| diverges where the forecast
+    puts zero mass on the observed side; the argument is clamped at 1e-12,
+    which turns impossible-event observations into large finite penalties
+    that grow with the size of the violation.
+    """
+    return _one(_REGISTRY["crls"], f, y)
+
+
+def energy_score(f: DiscreteForecast, y: float, beta: float) -> float:
+    """beta-energy score via the exact double sum over point masses.
+
+    beta=1 reproduces CRPS; beta=2 collapses to the squared error of the
+    forecast mean.  O(J^2) in the support size.
+    """
+    return _one(MetricSpec("energy_score", beta=beta), f, y)
+
+
+def interval_score(f: DiscreteForecast, y: float, alpha: float) -> float:
+    """Interval score of the central (1 - alpha) prediction interval."""
+    return _one(MetricSpec("interval_score", alpha=alpha), f, y)
 
 
 def wcrps(f: DiscreteForecast, y: float, spec: MetricSpec) -> float:
@@ -214,21 +447,18 @@ def wcrps(f: DiscreteForecast, y: float, spec: MetricSpec) -> float:
 
     ``spec.weight_kind`` selects w(z) = 1 - cdf(z) (left tail), cdf(z)
     (right tail), pdf(z) (center), or 1 (unit, recovering plain CRPS);
-    z = (x - weight_loc) / weight_scale.  The squared CDF term is constant
-    per segment, so only the weight needs integrating, which is done with
-    the exact Gaussian antiderivatives.
+    z = (x - weight_loc) / weight_scale, with loc 0 and scale 1 where the
+    spec leaves them unset.  The squared CDF term is constant per segment,
+    so only the weight needs integrating, which is done with the exact
+    Gaussian antiderivatives.
     """
-    kind = spec.weight_kind or "unit"
-    loc = 0.0 if spec.weight_loc is None else float(spec.weight_loc)
-    scale = 1.0 if spec.weight_scale is None else float(spec.weight_scale)
-    if scale <= 0.0:
-        raise InvalidScaleError(f"weight scale must be > 0, got {scale}")
-    left, widths = _segments(f, y)
-    if widths.size == 0:
-        return 0.0
-    diff = f.cdf(left) - (left >= y)
-    w = _weight_integral(kind, left, left + widths, loc, scale)
-    return float(np.dot(diff * diff, w))
+    spec = replace(
+        spec,
+        weight_loc=0.0 if spec.weight_loc is None else spec.weight_loc,
+        weight_scale=1.0 if spec.weight_scale is None else spec.weight_scale,
+        kernel=wcrps_kernel,
+    )
+    return _one(spec, f, y)
 
 
 def log_score(h: HistogramForecast, y: float) -> float:
@@ -238,13 +468,8 @@ def log_score(h: HistogramForecast, y: float) -> float:
     below at 1e-12; an observation outside the grid is scored with the
     clamp mass over the nearest bin's width.
     """
-    k = h.bin_index(y)
-    if k < 0:
-        k = 0 if y < h.edges[0] else h.probs.size - 1
-        p = EPS_DENSITY
-    else:
-        p = max(float(h.probs[k]), EPS_DENSITY)
-    return float(-math.log(p / float(h.widths[k])))
+    hists = HistogramBatch.from_forecasts([h])
+    return float(hists.map_blocks(_log_block, np.array([y], dtype=float))[0])
 
 
 def brier_score(h: HistogramForecast, y: float) -> float:
@@ -254,13 +479,7 @@ def brier_score(h: HistogramForecast, y: float) -> float:
     the grid, where the one-hot target is undefined; a silent worst-case
     value would corrupt downstream leaderboards.
     """
-    k = h.bin_index(y)
-    if k < 0:
-        raise OutsideSupportError(
-            f"observation {y} outside histogram support [{h.edges[0]}, {h.edges[-1]}]"
-        )
-    total = float(np.dot(h.probs, h.probs))
-    return float(total - 2.0 * h.probs[k] + 1.0)
+    return float(_brier_scores(HistogramBatch.from_forecasts([h]), np.array([y], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -308,30 +527,6 @@ class ScoreResult:
     mean: float
 
 
-def _histogram_forms(records) -> list[HistogramForecast | None]:
-    hists: list[HistogramForecast | None] = []
-    converted = 0
-    for rec in records:
-        f = rec.forecast
-        if isinstance(f, HistogramForecast):
-            hists.append(f)
-        elif isinstance(f, QuantileForecast):
-            try:
-                hists.append(quantiles_to_histogram(f))
-                converted += 1
-            except NotConvertibleError:
-                hists.append(None)
-        else:
-            hists.append(None)
-    if converted:
-        warnings.warn(
-            f"{converted} quantile record(s) converted to histograms for density scores",
-            ConversionWarning,
-            stacklevel=3,
-        )
-    return hists
-
-
 def score_batch(
     records: Sequence["ForecastRecord"],
     specs: Sequence[MetricSpec | str],
@@ -339,116 +534,42 @@ def score_batch(
     """Score every requested metric over a batch of forecast records.
 
     Records need ``target`` and ``forecast`` attributes (see
-    :class:`probeval.io.ForecastRecord`).  Histogram-only metrics (log
-    score, Brier) are computed through the quantile-to-histogram
-    conversion for quantile records and are absent (NaN) for sample
-    records.  wCRPS weight references default to the batch target mean
-    and population standard deviation.
+    :class:`probeval.io.ForecastRecord`).  The forecasts are packed into
+    one :class:`ForecastBatch` and each metric's kernel runs over it.
+    Histogram-only metrics (log score, Brier) are computed through the
+    quantile-to-histogram conversion for quantile records and are absent
+    (NaN) for sample records.  wCRPS weight references default to the
+    batch target mean and population standard deviation.
     """
     records = list(records)
     if not records:
         raise EmptyBatchError("no forecast records to score")
     resolved = [resolve_metric(s) if isinstance(s, str) else s for s in specs]
-
     targets = np.array([rec.target for rec in records], dtype=float)
-    discretes = [to_discrete(rec.forecast) for rec in records]
-    hists = None
-    if any(spec.name in ("log_score", "brier_score") for spec in resolved):
-        hists = _histogram_forms(records)
+    batch = ForecastBatch.from_forecasts(rec.forecast for rec in records)
 
     results: dict[str, ScoreResult] = {}
-    medians = means = stds = None
-
-    def _per_instance(name: str, values: np.ndarray) -> None:
-        defined = ~np.isnan(values)
-        if not defined.any():
-            warnings.warn(
-                f"{name} is undefined for every record; omitted", ConversionWarning, stacklevel=3
-            )
-            return
-        results[name] = ScoreResult(name, values, float(np.mean(values[defined])))
-
     for spec in resolved:
         name = spec.name
-        if name == "crps":
-            vals = np.array([crps(f, y) for f, y in zip(discretes, targets)])
-            _per_instance(name, vals)
-        elif name == "crls":
-            vals = np.array([crls(f, y) for f, y in zip(discretes, targets)])
-            _per_instance(name, vals)
-        elif name.startswith("energy_score_beta_"):
-            beta = spec.beta if spec.beta is not None else float(name.rsplit("_", 1)[1])
-            vals = np.array([energy_score(f, y, beta) for f, y in zip(discretes, targets)])
-            _per_instance(name, vals)
-        elif name.startswith("wcrps"):
-            wspec = spec
-            if wspec.weight_loc is None or wspec.weight_scale is None:
-                scale = float(np.std(targets))
-                if scale <= 0.0:
-                    raise InvalidScaleError(
-                        "batch targets have zero spread; pass an explicit weight reference"
-                    )
-                wspec = replace(
-                    spec, weight_loc=float(np.mean(targets)), weight_scale=scale
-                )
-            vals = np.array([wcrps(f, y, wspec) for f, y in zip(discretes, targets)])
-            _per_instance(name, vals)
-        elif name.startswith("interval_score"):
-            vals = np.array(
-                [interval_score(f, y, spec.alpha) for f, y in zip(discretes, targets)]
-            )
-            _per_instance(name, vals)
-        elif name == "log_score":
-            vals = np.array(
-                [
-                    log_score(h, y) if h is not None else math.nan
-                    for h, y in zip(hists, targets)
-                ]
-            )
-            _per_instance(name, vals)
-        elif name == "brier_score":
-            vals = np.full(len(records), math.nan)
-            for i, (h, y) in enumerate(zip(hists, targets)):
-                if h is None:
-                    continue
-                try:
-                    vals[i] = brier_score(h, y)
-                except OutsideSupportError as exc:
-                    rec_id = getattr(records[i], "id", i)
-                    raise OutsideSupportError(f"record {rec_id!r}: {exc}") from exc
-            _per_instance(name, vals)
-        elif name in ("mae", "rmse", "r2"):
-            if medians is None:
-                medians = np.array([f.median() for f in discretes])
-                means = np.array([f.mean() for f in discretes])
-            pm = point_metrics(medians, means, targets)
-            if name == "mae":
-                _per_instance(name, np.abs(targets - medians))
-            elif name == "rmse":
-                results[name] = ScoreResult(name, None, pm.rmse)
-            elif pm.r2 is None:
-                warnings.warn(
-                    "r2 undefined: targets have zero variance; omitted",
-                    ConversionWarning,
-                    stacklevel=2,
-                )
-            else:
-                results[name] = ScoreResult(name, None, pm.r2)
-        elif name == "sharpness":
-            if stds is None:
-                stds = np.array([f.std() for f in discretes])
-            _per_instance(name, stds)
-        elif name == "dispersion":
-            if stds is None:
-                stds = np.array([f.std() for f in discretes])
-            results[name] = ScoreResult(name, None, float(np.std(stds)))
-        elif name.startswith("coverage_"):
-            level = float(name.rsplit("_", 1)[1]) / 100.0
-            pairs = list(zip(discretes, targets))
-            vals = np.array(
-                [float(diagnostics.in_central_interval(f, y, level)) for f, y in pairs]
-            )
-            _per_instance(name, vals)
-        else:  # pragma: no cover - registry and dispatch are kept in sync
-            raise UnknownMetricError(f"no dispatcher for metric {name!r}")
+        if spec.kernel is None:
+            raise UnknownMetricError(f"metric {name!r} has no kernel and names no built-in metric")
+        try:
+            value = spec.kernel(batch, targets, spec)
+        except OutsideSupportError as exc:
+            if exc.index is None:
+                raise
+            rec_id = getattr(records[exc.index], "id", exc.index)
+            raise OutsideSupportError(f"record {rec_id!r}: {exc}") from exc
+        if isinstance(value, np.ndarray):
+            defined = ~np.isnan(value)
+            if defined.any():
+                results[name] = ScoreResult(name, value, float(np.mean(value[defined])))
+                continue
+            message = f"{name} is undefined for every record; omitted"
+        elif not math.isnan(value):
+            results[name] = ScoreResult(name, None, float(value))
+            continue
+        else:
+            message = f"{name} is undefined for this batch; omitted"
+        warnings.warn(message, ConversionWarning, stacklevel=2)
     return results

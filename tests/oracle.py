@@ -1,0 +1,172 @@
+"""Per-record reference formulas for the conversions and scoring rules.
+
+Each function handles one forecast and one observation with plain numpy
+on that record alone, the way the scoring rules were first written: loops
+over segments, the full double sum for the energy score, ``np.unique``
+for the conversions.  The property tests check the batch kernels of
+``probeval`` against these.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.special import ndtr
+
+from probeval import DiscreteForecast, HistogramForecast, QuantileForecast, SampleForecast
+
+EPS = 1e-12
+
+
+def discrete(forecast) -> tuple[np.ndarray, np.ndarray]:
+    """(points, probs) of the canonical point-mass form."""
+    if isinstance(forecast, DiscreteForecast):
+        return forecast.points, forecast.probs
+    if isinstance(forecast, HistogramForecast):
+        centers = 0.5 * (forecast.edges[:-1] + forecast.edges[1:])
+        keep = forecast.probs > 0
+        return centers[keep], forecast.probs[keep]
+    if isinstance(forecast, QuantileForecast):
+        levels = forecast.levels
+        bounds = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [1.0]))
+        points, inverse = np.unique(forecast.values, return_inverse=True)
+        merged = np.zeros(points.size)
+        np.add.at(merged, inverse, np.diff(bounds))
+        return points, merged
+    assert isinstance(forecast, SampleForecast)
+    points, counts = np.unique(forecast.values, return_counts=True)
+    return points, counts / forecast.values.size
+
+
+def cdf(points, probs, x):
+    cum0 = np.concatenate(([0.0], np.cumsum(probs)))
+    cum0[-1] = 1.0
+    return cum0[np.searchsorted(points, x, side="right")]
+
+
+def quantile(points, probs, tau):
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return float(points[min(int(np.searchsorted(cum, tau, side="left")), points.size - 1)])
+
+
+def _segments(points, y):
+    xs = np.unique(np.append(points, y))
+    return xs[:-1], np.diff(xs)
+
+
+def crps(points, probs, y):
+    left, widths = _segments(points, y)
+    diff = cdf(points, probs, left) - (left >= y)
+    return float(np.dot(widths, diff * diff))
+
+
+def crls(points, probs, y):
+    left, widths = _segments(points, y)
+    arg = np.abs(cdf(points, probs, left) + (left >= y) - 1.0)
+    return float(np.dot(widths, -np.log(np.maximum(arg, EPS))))
+
+
+def energy(points, probs, y, beta):
+    dist_y = np.abs(points - y) ** beta
+    cross = np.abs(points[:, None] - points[None, :]) ** beta
+    return float(probs @ dist_y - 0.5 * probs @ cross @ probs)
+
+
+def energy_scale(points, probs, y, beta):
+    """Size of the two terms the energy score is the difference of."""
+    return float(probs @ (np.abs(points - y) ** beta) + np.ptp(points) ** beta)
+
+
+def interval(points, probs, y, alpha):
+    lower, upper = quantile(points, probs, alpha / 2), quantile(points, probs, 1 - alpha / 2)
+    score = upper - lower
+    if y < lower:
+        score += (2.0 / alpha) * (lower - y)
+    elif y > upper:
+        score += (2.0 / alpha) * (y - upper)
+    return score
+
+
+def covered(points, probs, y, level):
+    alpha = 1.0 - level
+    return quantile(points, probs, alpha / 2) <= y <= quantile(points, probs, 1 - alpha / 2)
+
+
+def _weight_integral(kind, a, b, loc, scale):
+    za, zb = (a - loc) / scale, (b - loc) / scale
+    pdf = lambda z: np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)  # noqa: E731
+    if kind == "unit":
+        return b - a
+    if kind == "center":
+        return scale * (ndtr(zb) - ndtr(za))
+    prim_a, prim_b = za * ndtr(za) + pdf(za), zb * ndtr(zb) + pdf(zb)
+    if kind == "right":
+        return scale * (prim_b - prim_a)
+    return scale * ((zb - prim_b) - (za - prim_a))
+
+
+def wcrps(points, probs, y, kind, loc, scale):
+    left, widths = _segments(points, y)
+    diff = cdf(points, probs, left) - (left >= y)
+    return float(np.dot(diff * diff, _weight_integral(kind, left, left + widths, loc, scale)))
+
+
+def mean(points, probs):
+    return float(np.dot(probs, points))
+
+
+def std(points, probs):
+    centered = points - mean(points, probs)
+    return math.sqrt(max(float(np.dot(probs, centered * centered)), 0.0))
+
+
+def _spread_equal_runs(values):
+    edges = np.asarray(values, dtype=float).copy()
+    i, n = 0, edges.size
+    while i < n:
+        j = i
+        while j + 1 < n and edges[j + 1] == edges[i]:
+            j += 1
+        if j > i:
+            eps = max(1e-9, 1e-9 * abs(edges[i]))
+            edges[i : j + 1] = edges[i] + eps * np.linspace(-(j - i) / 2, (j - i) / 2, j - i + 1)
+        i = j + 1
+    for k in range(1, n):
+        if edges[k] <= edges[k - 1]:
+            edges[k] = np.nextafter(edges[k - 1], np.inf)
+    return edges
+
+
+def histogram(forecast) -> tuple[np.ndarray, np.ndarray] | None:
+    """(edges, probs) of the histogram form, None where there is none."""
+    if isinstance(forecast, HistogramForecast):
+        return forecast.edges, forecast.probs
+    if isinstance(forecast, QuantileForecast) and forecast.levels.size >= 2:
+        masses = np.diff(forecast.levels)
+        return _spread_equal_runs(forecast.values), masses / float(masses.sum())
+    return None
+
+
+def bin_index(edges, y):
+    if y < edges[0] or y > edges[-1]:
+        return -1
+    return min(int(np.searchsorted(edges, y, side="right")) - 1, edges.size - 2)
+
+
+def log_score(edges, probs, y):
+    k = bin_index(edges, y)
+    if k < 0:
+        k, p = (0 if y < edges[0] else probs.size - 1), EPS
+    else:
+        p = max(float(probs[k]), EPS)
+    return -math.log(p / float(edges[k + 1] - edges[k]))
+
+
+def brier(edges, probs, y):
+    """Brier score, None where y lies outside the grid."""
+    k = bin_index(edges, y)
+    if k < 0:
+        return None
+    return float(np.dot(probs, probs)) - 2.0 * float(probs[k]) + 1.0

@@ -155,6 +155,16 @@ class TestScoreCommand:
         assert code == 1
 
 
+    def test_boolean_target_is_input_error(self, tmp_path, capsys):
+        path = self.forecasts_file(tmp_path, [
+            {"id": "a", "target": True, "type": "samples", "values": [0.0, 1.0]},
+        ])
+        code = run_cli("score", "--forecasts", path, "--metrics", "crps",
+                       "--out", tmp_path / "s.csv")
+        assert code == 1
+        assert "line 1" in capsys.readouterr().err
+
+
 class TestValidateCommand:
     def test_clean_forecasts(self, tmp_path, capsys):
         path = tmp_path / "fc.jsonl"
@@ -176,6 +186,21 @@ class TestValidateCommand:
         assert run_cli("validate", "--forecasts", path) == 1
         out = capsys.readouterr().out
         assert "1 quantile record(s) repaired" in out
+
+    def test_non_numeric_quantile_values_reported(self, tmp_path, capsys):
+        path = tmp_path / "fc.jsonl"
+        path.write_text(
+            json.dumps({"id": "ok", "target": 0.5, "type": "samples", "values": [1.0]}) + "\n"
+            + json.dumps({"id": "q", "target": 0.5, "type": "quantiles",
+                          "levels": [0.2, 0.8], "values": [1, "a"]}) + "\n"
+            + json.dumps({"id": "h", "target": 0.5, "type": "histogram",
+                          "edges": [0, 1], "probs": [None]}) + "\n",
+            encoding="utf-8",
+        )
+        assert run_cli("validate", "--forecasts", path) == 1
+        out = capsys.readouterr().out
+        assert "line 2:" in out and "line 3:" in out
+        assert "2 violations" in out
 
     def test_duplicate_run_key_listed(self, tmp_path, capsys):
         path = tmp_path / "runs.csv"

@@ -94,6 +94,24 @@ class TestReadForecasts:
         with pytest.raises(RecordParseError):
             read_forecasts(path)
 
+    def test_boolean_target_rejected(self, tmp_path):
+        path = tmp_path / "bool.jsonl"
+        write_lines(path, [
+            json.dumps({"id": "a", "target": 0.5, "type": "samples", "values": [1.0]}),
+            json.dumps({"id": "b", "target": True, "type": "samples", "values": [1.0]}),
+        ])
+        with pytest.raises(RecordParseError, match="target") as err:
+            read_forecasts(path)
+        assert err.value.line == 2
+
+    def test_non_sequence_values_rejected(self, tmp_path):
+        path = tmp_path / "obj.jsonl"
+        write_lines(path, [json.dumps({"id": "a", "target": 0.5, "type": "samples",
+                                       "values": {"x": 1}})])
+        with pytest.raises(RecordParseError) as err:
+            read_forecasts(path)
+        assert err.value.line == 1
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "missing.jsonl"
         write_lines(path, [json.dumps({"id": "a", "type": "samples", "values": [1.0]})])
@@ -230,6 +248,31 @@ class TestWriteScores:
         assert lines[-1].split(",")[0] == "mean"
         assert float(lines[-1].split(",")[2]) == pytest.approx(results["crps"].mean)
         assert float(lines[-1].split(",")[3]) == pytest.approx(results["rmse"].mean)
+
+
+    def test_bytes_match_per_cell_formatting(self, tmp_path):
+        from probeval import score_batch
+
+        records = [
+            ForecastRecord("h", 0.25, HistogramForecast([0, 1, 2], [0.4, 0.6])),
+            ForecastRecord("s", 1.5, SampleForecast([1.0, 2.0, 2.0])),
+            ForecastRecord("d", -0.1, DiscreteForecast([-1.0, 0.3], [0.3, 0.7])),
+        ]
+        results = score_batch(records, ["crps", "log_score", "rmse", "dispersion", "coverage_90"])
+        assert np.isnan(results["log_score"].values).any()
+        path = tmp_path / "scores.csv"
+        write_scores(records, results, path)
+
+        # The table as formatted one cell at a time.
+        lines = ["id,target," + ",".join(results)]
+        for i, rec in enumerate(records):
+            cells = [rec.id, repr(rec.target)]
+            for result in results.values():
+                v = None if result.values is None else result.values[i]
+                cells.append("" if v is None or np.isnan(v) else repr(float(v)))
+            lines.append(",".join(cells))
+        lines.append(",".join(["mean", ""] + [repr(r.mean) for r in results.values()]))
+        assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 class TestValidators:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from probeval import (
+    HIGHER_BETTER,
+    MetricSpec,
     RunRecord,
     ScoreMatrix,
     aggregate_folds,
@@ -61,6 +63,12 @@ class TestAggregateFolds:
         records = [RunRecord("a", "x", 0, "crps", 1.0)]
         with pytest.raises(NotComparableError):
             aggregate_folds(records, "crps")
+
+    def test_custom_spec_takes_its_own_orientation(self):
+        records = runs_from_matrix([[1.0, 2.0], [3.0, 4.0]], metric="skill")
+        matrix = aggregate_folds(records, MetricSpec("skill", orientation=HIGHER_BETTER))
+        assert matrix.orientation == HIGHER_BETTER
+        assert matrix.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_no_records_for_metric(self):
         records = [RunRecord("a", "x", 0, "crps", 1.0)]
@@ -236,6 +244,14 @@ class TestBuildLeaderboard:
         rows = build_leaderboard(records, "r2", nsim=1000, seed=4)
         assert rows[0].model == "m0"
         assert rows[0].observed == pytest.approx(0.9)
+        assert rows[0].average_rank == 1.0
+
+    def test_spec_not_in_registry(self):
+        # An interval score at a level the CLI can emit (--alpha 0.2).
+        records = runs_from_matrix([[1.0, 2.0, 1.5], [3.0, 4.0, 2.5]], metric="interval_score_80")
+        spec = MetricSpec("interval_score_80", alpha=0.2)
+        rows = build_leaderboard(records, spec, nsim=200, seed=1)
+        assert [r.model for r in rows] == ["m0", "m1"]
         assert rows[0].average_rank == 1.0
 
     def test_tiebreak_uses_observed_under_orientation(self):

@@ -398,6 +398,39 @@ class TestScoreBatch:
         for name, result in results.items():
             assert result.mean == pytest.approx(float(np.mean(result.values)), rel=1e-12)
 
+    def test_brier_outside_support_names_first_record(self):
+        records = [
+            ForecastRecord("in", 0.5, HistogramForecast([0, 1], [1.0])),
+            ForecastRecord("out1", 5.0, HistogramForecast([0, 1], [1.0])),
+            ForecastRecord("out2", -5.0, HistogramForecast([0, 1], [1.0])),
+        ]
+        with pytest.raises(OutsideSupportError, match="record 'out1'"):
+            score_batch(records, ["brier_score"])
+
+    def test_custom_and_parameter_specs(self):
+        records = [
+            ForecastRecord("a", 0.0, DiscreteForecast([0.0, 1.0], [0.5, 0.5])),
+            ForecastRecord("b", 3.0, DiscreteForecast([1.0, 2.0], [0.25, 0.75])),
+        ]
+
+        def mean_error(batch, targets, spec):
+            return targets - batch.means()
+
+        specs = [
+            MetricSpec("mean_error", kernel=mean_error),
+            MetricSpec("coverage_80", level=0.8),
+            MetricSpec("crps"),
+        ]
+        results = score_batch(records, specs)
+        assert results["mean_error"].values.tolist() == [-0.5, 1.25]
+        assert results["coverage_80"].values.tolist() == [1.0, 0.0]
+        assert results["crps"].mean == score_batch(records, ["crps"])["crps"].mean
+
+    def test_spec_without_kernel_is_unknown(self):
+        records = [ForecastRecord("a", 0.0, DiscreteForecast([0.0], [1.0]))]
+        with pytest.raises(UnknownMetricError):
+            score_batch(records, [MetricSpec("nope")])
+
     def test_histogram_metrics_absent_for_samples_only(self):
         records = [ForecastRecord("s", 1.0, SampleForecast([0.0, 1.0, 2.0]))]
         with pytest.warns(ConversionWarning, match="undefined for every record"):
