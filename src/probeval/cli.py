@@ -2,52 +2,34 @@
 
 Exit status 0 on success, 1 on input errors, 2 on computation errors.
 The leaderboard and synth commands require an explicit --seed so every
-emitted file is exactly re-derivable from its inputs.  The optional
-PROBEVAL_WORKERS environment variable only sets the simulation chunk
-size; outputs are identical for any value.
+emitted file is exactly re-derivable from its inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 import warnings
 from dataclasses import replace
 
 from . import io, ranking, scoring, synth
 from .errors import (
-    AmbiguousFormError,
     DroppedDatasetWarning,
-    DuplicateKeyError,
     InvalidScenarioError,
-    InvalidValueError,
     ProbevalError,
     RecordParseError,
-    UnknownFormError,
     UnknownMetricError,
 )
 
+# Every malformed-record error is a RecordParseError and names its line.
 _INPUT_ERRORS = (
     RecordParseError,
-    UnknownFormError,
-    AmbiguousFormError,
-    DuplicateKeyError,
-    InvalidValueError,
     UnknownMetricError,
     InvalidScenarioError,
     FileNotFoundError,
     IsADirectoryError,
     PermissionError,
 )
-
-
-def _chunk_size(nsim: int) -> int | None:
-    workers = os.environ.get("PROBEVAL_WORKERS")
-    if not workers:
-        return None
-    return max(1, math.ceil(nsim / max(1, int(workers))))
 
 
 def _resolve_cli_metrics(names: list[str], args) -> list[scoring.MetricSpec]:
@@ -92,13 +74,7 @@ def cmd_leaderboard(args) -> int:
     records = io.read_runs(args.runs)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = ranking.build_leaderboard(
-            records,
-            args.metric,
-            nsim=args.nsim,
-            seed=args.seed,
-            chunk_size=_chunk_size(args.nsim),
-        )
+        rows = ranking.build_leaderboard(records, args.metric, nsim=args.nsim, seed=args.seed)
     dropped = [w for w in caught if issubclass(w.category, DroppedDatasetWarning)]
     for w in caught:
         print(f"note: {w.message}", file=sys.stderr)

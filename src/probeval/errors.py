@@ -54,11 +54,12 @@ class InvalidScenarioError(ProbevalError):
 
 
 class RecordParseError(ProbevalError):
-    """A record in an input file is malformed; carries the line number."""
+    """A record in an input file is malformed; carries its line and message."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
 
 
 class UnknownFormError(RecordParseError):
@@ -69,11 +70,11 @@ class AmbiguousFormError(RecordParseError):
     """A forecast record mixes fields from more than one forecast form."""
 
 
-class DuplicateKeyError(ProbevalError):
+class DuplicateKeyError(RecordParseError):
     """Two run records share the same (model, dataset, fold, metric) key."""
 
 
-class InvalidValueError(ProbevalError):
+class InvalidValueError(RecordParseError):
     """A run record carries a non-finite metric value."""
 
 

@@ -81,8 +81,8 @@ class HistogramForecast:
         if not np.all(np.isfinite(probs)) or np.any(probs < 0):
             raise ValueError("probs must be finite and nonnegative")
         total = float(probs.sum())
-        if total <= 0:
-            raise ValueError("probs must carry positive total mass")
+        if not 0 < total < math.inf:
+            raise ValueError("probs must carry positive, finite total mass")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "probs", _readonly(probs / total))
 

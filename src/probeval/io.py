@@ -12,9 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     AmbiguousFormError,
@@ -25,6 +28,7 @@ from .errors import (
     UnknownFormError,
 )
 from .forecast import (
+    MASS_TOL,
     Forecast,
     HistogramForecast,
     QuantileForecast,
@@ -36,12 +40,14 @@ from .scoring import ScoreResult
 RUNS_HEADER = ("model", "dataset", "fold", "metric", "value")
 LEADERBOARD_HEADER = ("Rank", "Model", "p-value", "Observed", "AverageRank")
 
-_FORM_FIELDS = {
-    "histogram": ("edges", "probs"),
-    "quantiles": ("levels", "values"),
-    "samples": ("values",),
+# Each forecast form: its class and the JSON fields that carry it, in the
+# order of the class's constructor arguments.
+_FORMS = {
+    "histogram": (HistogramForecast, ("edges", "probs")),
+    "quantiles": (QuantileForecast, ("levels", "values")),
+    "samples": (SampleForecast, ("values",)),
 }
-_ALL_FORM_FIELDS = ("edges", "probs", "levels", "values")
+_FORM_KEYS = tuple(dict.fromkeys(key for _, keys in _FORMS.values() for key in keys))
 
 _SCORE_ROWS_PER_CHUNK = 512
 
@@ -59,42 +65,76 @@ def _reject_constant(value):
     raise ValueError(f"non-finite JSON constant {value!r}")
 
 
-def _parse_forecast_line(line: str, line_no: int) -> ForecastRecord:
+_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _parse_forecast(line: str, line_no: int) -> tuple[dict, ForecastRecord]:
+    """Turn one JSON line into its decoded object and its record, or raise."""
     try:
-        obj = json.loads(line, parse_constant=_reject_constant)
-    except ValueError as exc:
+        obj = _JSON.decode(line)
+    except (ValueError, RecursionError) as exc:
         raise RecordParseError(line_no, f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise RecordParseError(line_no, "record must be a JSON object")
     if "type" not in obj:
         raise RecordParseError(line_no, "missing forecast 'type'")
     form = obj["type"]
-    if form not in _FORM_FIELDS:
-        raise UnknownFormError(line_no, f"unknown forecast type {form!r}")
-    required = _FORM_FIELDS[form]
-    foreign = [k for k in _ALL_FORM_FIELDS if k in obj and k not in required]
+    if not isinstance(form, str) or form not in _FORMS:
+        raise UnknownFormError(line_no, f"unknown forecast type {reprlib.repr(form)}")
+    cls, keys = _FORMS[form]
+    foreign = [k for k in _FORM_KEYS if k in obj and k not in keys]
     if foreign:
         raise AmbiguousFormError(
             line_no, f"{form} record also carries {', '.join(foreign)}; exactly one form allowed"
         )
-    for key in ("id", "target", *required):
+    for key in ("id", "target", *keys):
         if key not in obj:
             raise RecordParseError(line_no, f"missing field {key!r}")
     target = obj["target"]
-    # bool is an int subclass, but JSON true/false is not a number.
-    is_number = isinstance(target, (int, float)) and not isinstance(target, bool)
-    if not is_number or not math.isfinite(target):
-        raise RecordParseError(line_no, f"target must be a finite number, got {target!r}")
+    # bool is an int subclass, but JSON true/false is not a number; an integer
+    # literal too large for a float counts as infinite.
     try:
-        if form == "histogram":
-            forecast: Forecast = HistogramForecast(obj["edges"], obj["probs"])
-        elif form == "quantiles":
-            forecast = QuantileForecast(obj["levels"], obj["values"])
-        else:
-            forecast = SampleForecast(obj["values"])
-    except (ValueError, TypeError, ProbevalError) as exc:
+        y = float(target) if type(target) in (int, float) else math.nan
+    except OverflowError:
+        y = math.inf
+    if not math.isfinite(y):
+        raise RecordParseError(
+            line_no, f"target must be a finite number, got {reprlib.repr(target)}"
+        )
+    try:
+        forecast = cls(*map(obj.__getitem__, keys))
+        record_id = str(obj["id"])
+        record_id.encode("utf-8")  # a lone surrogate escape could never be written out
+    except (ValueError, TypeError, OverflowError, RecursionError, ProbevalError) as exc:
         raise RecordParseError(line_no, str(exc)) from None
-    return ForecastRecord(id=str(obj["id"]), target=float(target), forecast=forecast)
+    return obj, ForecastRecord(id=record_id, target=y, forecast=forecast)
+
+
+def _scan_forecasts(path) -> Iterator[tuple[int, dict | None, ForecastRecord | RecordParseError]]:
+    """Yield (line number, decoded object or None, record or error) per non-blank line."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                obj, record = _parse_forecast(line, line_no)
+            except UnicodeDecodeError as exc:
+                yield line_no, None, RecordParseError(line_no, f"not valid UTF-8: {exc}")
+            except RecordParseError as exc:
+                yield line_no, None, exc
+            else:
+                yield line_no, obj, record
+
+
+def _records(results: Iterable) -> list:
+    """The records of a scan, or its first error raised."""
+    records = []
+    for result in results:
+        if isinstance(result, RecordParseError):
+            raise result
+        records.append(result)
+    return records
 
 
 def read_forecasts(path) -> list[ForecastRecord]:
@@ -103,12 +143,7 @@ def read_forecasts(path) -> list[ForecastRecord]:
     Raises a :class:`RecordParseError` (or a subclass) carrying the line
     number of the first malformed record.
     """
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                records.append(_parse_forecast_line(line, line_no))
-    return records
+    return _records(result for _, _, result in _scan_forecasts(path))
 
 
 def write_forecasts(records: Iterable[ForecastRecord], path) -> None:
@@ -116,56 +151,83 @@ def write_forecasts(records: Iterable[ForecastRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
             f = rec.forecast
-            obj: dict = {"id": rec.id, "target": rec.target}
-            if isinstance(f, HistogramForecast):
-                obj.update(type="histogram", edges=f.edges.tolist(), probs=f.probs.tolist())
-            elif isinstance(f, QuantileForecast):
-                obj.update(type="quantiles", levels=f.levels.tolist(), values=f.values.tolist())
-            elif isinstance(f, SampleForecast):
-                obj.update(type="samples", values=f.values.tolist())
-            else:
+            form = next((form for form, (cls, _) in _FORMS.items() if isinstance(f, cls)), None)
+            if form is None:
                 raise TypeError(f"cannot serialize forecast of type {type(f).__name__}")
+            obj: dict = {"id": rec.id, "target": rec.target, "type": form}
+            obj.update((key, getattr(f, key).tolist()) for key in _FORMS[form][1])
             fh.write(json.dumps(obj) + "\n")
 
 
-def read_runs(path) -> list[RunRecord]:
-    """Parse a run-record CSV with header model,dataset,fold,metric,value."""
-    records: list[RunRecord] = []
+def _parse_run(row: list[str], line_no: int, seen: dict[tuple, int]) -> RunRecord:
+    """Turn one CSV data row into its run record, or raise; ``seen`` maps keys to lines."""
+    try:
+        model, dataset, fold_s, metric, value_s = row
+    except ValueError:
+        raise RecordParseError(line_no, f"expected 5 columns, got {len(row)}") from None
+    try:
+        fold = int(fold_s)
+    except ValueError:
+        raise RecordParseError(line_no, f"fold must be an integer, got {fold_s!r}") from None
+    if fold < 0:
+        raise RecordParseError(line_no, f"fold must be nonnegative, got {fold}")
+    try:
+        value = float(value_s)
+    except ValueError:
+        raise RecordParseError(line_no, f"value must be a number, got {value_s!r}") from None
+    if not math.isfinite(value):
+        raise InvalidValueError(line_no, f"non-finite value {value_s!r}")
+    key = (model, dataset, fold, metric)
+    first = seen.setdefault(key, line_no)
+    if first != line_no:
+        raise DuplicateKeyError(line_no, f"duplicate run key {key} (first seen on line {first})")
+    return RunRecord(model, dataset, fold, metric, value)
+
+
+def _scan_runs(path) -> Iterator[RunRecord | RecordParseError]:
+    """Yield the record or error of each non-blank data row; raise a bad header."""
     seen: dict[tuple, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise RecordParseError(1, "empty run file; expected a header row") from None
-        if tuple(header) != RUNS_HEADER:
-            raise RecordParseError(1, f"header must be {','.join(RUNS_HEADER)}, got {','.join(header)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
+    # Lines are decoded one at a time so that a byte that is not UTF-8 is
+    # reported on its own line; the CSV reader never sees such a line.
+    skipped = 0
+    with open(path, "rb") as fh:
+        reader = csv.reader(map(bytes.decode, fh))
+        while True:
+            line_no = reader.line_num + skipped + 1
+            try:
+                row = next(reader)
+                if line_no > 1:
+                    if row:
+                        yield _parse_run(row, line_no, seen)
+                elif tuple(row) != RUNS_HEADER:
+                    raise RecordParseError(
+                        1, f"header must be {','.join(RUNS_HEADER)}, got {','.join(row)}"
+                    )
+            except StopIteration:
+                if line_no == 1:
+                    raise RecordParseError(1, "empty run file; expected a header row") from None
+                return
+            except UnicodeDecodeError as exc:
+                skipped += 1
+                error = RecordParseError(reader.line_num + skipped, f"not valid UTF-8: {exc}")
+            except csv.Error as exc:
+                error = RecordParseError(reader.line_num + skipped, f"malformed CSV: {exc}")
+            except RecordParseError as exc:
+                error = exc
+            else:
                 continue
-            if len(row) != 5:
-                raise RecordParseError(line_no, f"expected 5 columns, got {len(row)}")
-            model, dataset, fold_s, metric, value_s = row
-            try:
-                fold = int(fold_s)
-            except ValueError:
-                raise RecordParseError(line_no, f"fold must be an integer, got {fold_s!r}") from None
-            if fold < 0:
-                raise RecordParseError(line_no, f"fold must be nonnegative, got {fold}")
-            try:
-                value = float(value_s)
-            except ValueError:
-                raise RecordParseError(line_no, f"value must be a number, got {value_s!r}") from None
-            if not math.isfinite(value):
-                raise InvalidValueError(f"line {line_no}: non-finite value {value_s!r}")
-            key = (model, dataset, fold, metric)
-            if key in seen:
-                raise DuplicateKeyError(
-                    f"line {line_no}: duplicate run key {key} (first seen on line {seen[key]})"
-                )
-            seen[key] = line_no
-            records.append(RunRecord(model, dataset, fold, metric, value))
-    return records
+            if line_no == 1:  # no row after a bad header can be read
+                raise error
+            yield error
+
+
+def read_runs(path) -> list[RunRecord]:
+    """Parse a run-record CSV with header model,dataset,fold,metric,value.
+
+    Raises a :class:`RecordParseError` (or a subclass) carrying the line
+    number of the first malformed row.
+    """
+    return _records(_scan_runs(path))
 
 
 def write_runs(records: Iterable[RunRecord], path) -> None:
@@ -234,10 +296,6 @@ def write_scores(
         writer.writerow(["mean", "", *[repr(results[name].mean) for name in names]])
 
 
-def _numbers(values) -> bool:
-    return isinstance(values, list) and all(isinstance(v, (int, float)) for v in values)
-
-
 @dataclass(frozen=True)
 class Violation:
     """One file-validation finding, anchored to a line number."""
@@ -247,89 +305,51 @@ class Violation:
 
 
 def validate_forecast_file(path) -> tuple[int, int, list[Violation]]:
-    """Check every record of a forecast stream against its invariants.
+    """Check every record of a forecast stream.
 
-    Returns (records parsed, quantile records repaired, violations).
-    Repaired quantile crossings and pre-normalization mass deviations
-    beyond 1e-9 are violations; so is any unparsable record.
+    Returns (records seen, quantile records repaired, violations).  The
+    violations are every record :func:`read_forecasts` rejects, in its
+    words, plus two findings on records it accepts: a histogram whose raw
+    mass is off 1 by more than ``MASS_TOL``, and quantile crossings
+    repaired by sorting.
     """
     violations: list[Violation] = []
     n_records = 0
     repaired = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for line_no, obj, record in _scan_forecasts(path):
             n_records += 1
-            raw = None
-            try:
-                raw = json.loads(line, parse_constant=_reject_constant)
-            except ValueError:
-                pass
-            if isinstance(raw, dict):
-                # The raw checks read lists of numbers only; anything else
-                # is reported by the parse below.
-                probs = raw.get("probs")
-                if _numbers(probs) and probs:
-                    total = math.fsum(probs)
-                    if abs(total - 1.0) > 1e-9:
-                        violations.append(
-                            Violation(line_no, f"probability mass sums to {total!r}, not 1")
-                        )
-                values = raw.get("values")
-                if raw.get("type") == "quantiles" and _numbers(values):
-                    if any(b < a for a, b in zip(values, values[1:])):
-                        repaired += 1
-                        violations.append(
-                            Violation(line_no, "non-monotone quantile values (repaired by sorting)")
-                        )
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    _parse_forecast_line(line, line_no)
-            except RecordParseError as exc:
-                violations.append(Violation(line_no, str(exc)))
+            if isinstance(record, RecordParseError):
+                violations.append(Violation(line_no, record.message))
+                continue
+            f = record.forecast
+            if isinstance(f, HistogramForecast):
+                total = math.fsum(np.asarray(obj["probs"], dtype=float).tolist())
+                if abs(total - 1.0) > MASS_TOL:
+                    violations.append(
+                        Violation(line_no, f"probability mass sums to {total!r}, not 1")
+                    )
+            if isinstance(f, QuantileForecast) and f.repaired:
+                repaired += 1
+                violations.append(
+                    Violation(line_no, "non-monotone quantile values (repaired by sorting)")
+                )
     return n_records, repaired, violations
 
 
 def validate_run_file(path) -> tuple[int, list[Violation]]:
-    """Check a run-record table; returns (data rows seen, violations)."""
+    """Check a run-record table; returns (data rows seen, violations).
+
+    The violations are every row :func:`read_runs` rejects, in its words.
+    """
     violations: list[Violation] = []
     n_rows = 0
-    seen: dict[tuple, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != RUNS_HEADER:
-            violations.append(Violation(1, f"header must be {','.join(RUNS_HEADER)}"))
-            return 0, violations
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    try:
+        for record in _scan_runs(path):
             n_rows += 1
-            if len(row) != 5:
-                violations.append(Violation(line_no, f"expected 5 columns, got {len(row)}"))
-                continue
-            model, dataset, fold_s, metric, value_s = row
-            try:
-                fold = int(fold_s)
-                if fold < 0:
-                    raise ValueError
-            except ValueError:
-                violations.append(Violation(line_no, f"bad fold {fold_s!r}"))
-                continue
-            try:
-                value = float(value_s)
-            except ValueError:
-                violations.append(Violation(line_no, f"bad value {value_s!r}"))
-                continue
-            if not math.isfinite(value):
-                violations.append(Violation(line_no, f"non-finite value {value_s!r}"))
-            key = (model, dataset, fold, metric)
-            if key in seen:
-                violations.append(
-                    Violation(line_no, f"duplicate run key {key} (first seen on line {seen[key]})")
-                )
-            else:
-                seen[key] = line_no
+            if isinstance(record, RecordParseError):
+                violations.append(Violation(record.line, record.message))
+    except RecordParseError as exc:  # a bad header
+        violations.append(Violation(exc.line, exc.message))
     return n_rows, violations

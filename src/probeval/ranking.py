@@ -16,7 +16,7 @@ The pipeline therefore blocks per dataset:
 
 The shuffles are driven by counter-based substreams keyed on
 (seed, simulation, dataset), so results are byte-identical regardless of
-chunking or worker count.
+chunking.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 import numpy as np
@@ -131,19 +132,18 @@ def aggregate_folds(records: Iterable[RunRecord], metric: str | MetricSpec) -> S
 def drop_zero_variance(matrix: ScoreMatrix) -> ScoreMatrix:
     """Remove datasets where all models score exactly the same."""
     values = matrix.values
-    keep = [d for d in range(values.shape[1]) if not np.all(values[:, d] == values[0, d])]
-    dropped = [matrix.datasets[d] for d in range(values.shape[1]) if d not in keep]
-    for name in dropped:
+    keep = (values != values[0]).any(axis=0)
+    for name in compress(matrix.datasets, ~keep):
         warnings.warn(
             f"dataset {name!r} dropped: all models scored identically",
             DroppedDatasetWarning,
             stacklevel=2,
         )
-    if not keep:
+    if not keep.any():
         raise NoInformativeDatasetsError("every dataset has zero variance across models")
     return ScoreMatrix(
         models=matrix.models,
-        datasets=tuple(matrix.datasets[d] for d in keep),
+        datasets=tuple(compress(matrix.datasets, keep)),
         values=values[:, keep],
         orientation=matrix.orientation,
     )
@@ -156,9 +156,7 @@ def rank_transform(matrix: ScoreMatrix) -> np.ndarray:
     convention.
     """
     oriented = matrix.values if matrix.orientation == LOWER_BETTER else -matrix.values
-    return np.column_stack(
-        [rankdata(oriented[:, d], method="average") for d in range(oriented.shape[1])]
-    )
+    return rankdata(oriented, method="average", axis=0)
 
 
 def observed_statistics(ranks: np.ndarray, matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
