@@ -32,6 +32,16 @@ _INPUT_ERRORS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _resolve_cli_metrics(names: list[str], args) -> list[scoring.MetricSpec]:
     specs = []
     for name in names:
@@ -143,7 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     lp = sub.add_parser("leaderboard", help="rank models from a run-record table")
     lp.add_argument("--runs", required=True, help="run-record CSV")
     lp.add_argument("--metric", required=True, help="metric identifier to rank on")
-    lp.add_argument("--nsim", type=int, default=ranking.DEFAULT_NSIM, help="null simulations")
+    lp.add_argument(
+        "--nsim", type=_positive_int, default=ranking.DEFAULT_NSIM, help="null simulations"
+    )
     lp.add_argument("--seed", type=int, required=True, help="seed for the permutation null")
     lp.add_argument("--out", required=True, help="leaderboard CSV")
     lp.add_argument("--wide", action="store_true", help="append full-precision columns")

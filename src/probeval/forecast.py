@@ -10,6 +10,10 @@ approximately.
 :class:`ForecastBatch` packs the point masses of many records into flat
 arrays (CSR layout) so that conversions and scoring rules run over a whole
 batch at once; :class:`DiscreteForecast` is the one-record view of it.
+Per-record work walks a batch one way: records of equal support size are
+gathered as the rows of a matrix (:func:`_equal_size_groups`) and handled
+by row-wise numpy operations, so each record gets exactly the result a
+batch of that record alone would give.
 
 All forecast types are immutable after construction and every operation
 here is pure, so instances are safe to share between workers.
@@ -20,7 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -35,9 +38,9 @@ from .errors import (
 # Tolerance on total probability mass for validation and conversions.
 MASS_TOL = 1e-9
 
-# Largest number of array elements a batch operation works on at once.
-# Batches are processed in blocks of whole records whose temporaries stay
-# within this budget, so memory follows the block size, not the batch size.
+# Largest number of array elements a batch operation gathers at once.
+# Groups of equal-size records are taken in chunks of rows within this
+# budget, so memory follows the chunk size, not the batch size.
 BLOCK_ELEMENTS = 1 << 14
 
 
@@ -80,7 +83,8 @@ class HistogramForecast:
             raise ValueError("edges must be strictly increasing")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0):
             raise ValueError("probs must be finite and nonnegative")
-        total = float(probs.sum())
+        with np.errstate(over="ignore"):  # an infinite total is rejected below
+            total = float(probs.sum())
         if not 0 < total < math.inf:
             raise ValueError("probs must carry positive, finite total mass")
         object.__setattr__(self, "edges", edges)
@@ -96,7 +100,7 @@ class HistogramForecast:
         Bins are left-closed and right-open, except the last bin which is
         closed on both sides.  Returns -1 when ``y`` lies outside the grid.
         """
-        k, inside = HistogramBatch.from_forecasts([self]).bin_index(np.array([y], dtype=float))
+        k, inside = _bin_index(self.edges[None, :], np.array([[y]], dtype=float))
         return int(k[0]) if inside[0] else -1
 
 
@@ -222,12 +226,14 @@ def _run_starts(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 def _equal_size_groups(
     offsets: np.ndarray, elements: Callable[[int], int] = lambda size: size
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(size, record indices) for the records of each segment size.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(record indices, flat indices) of the records of each segment size.
 
-    Each group is split so that rows * elements(size) stays within
-    BLOCK_ELEMENTS (one row at least).  Row-wise numpy reductions over a
-    group give every record the same result as a call on that record alone.
+    The flat indices form a (records x size) matrix, so ``x[cols]`` gathers
+    the records of a group as rows.  Each group is split so that
+    rows * elements(size) stays within BLOCK_ELEMENTS (one row at least);
+    empty records are skipped.  Row-wise numpy operations over a group
+    give every record the same result as a call on that record alone.
     """
     lengths = offsets[1:] - offsets[:-1]
     if lengths.size == 0:
@@ -239,67 +245,45 @@ def _equal_size_groups(
         groups = np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
     for rows in groups:
         size = int(lengths[rows[0]])
+        if size == 0:
+            continue
         step = max(1, BLOCK_ELEMENTS // elements(size))
         for i in range(0, rows.size, step):
-            yield size, rows[i : i + step]
+            chunk = rows[i : i + step]
+            yield chunk, offsets[chunk, None] + np.arange(size)
 
 
-def _segment_cumsum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Cumulative sum restarted at every record, computed per record."""
-    out = np.empty_like(x)
-    for size, rows in _equal_size_groups(offsets):
-        idx = offsets[rows, None] + np.arange(size)
-        out[idx] = np.cumsum(x[idx], axis=1)
-    return out
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each row, added left to right from +0.0 whatever its length.
+
+    numpy's pairwise ``sum(axis=1)`` regroups the terms of rows of 8 or
+    more elements, which changes last bits; starting from +0.0 makes a row
+    of zero terms sum to 0.0, never -0.0.
+    """
+    return np.cumsum(x, axis=1)[:, -1] + 0.0
 
 
 def _segment_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-record totals, equal to ``x[record].sum()`` for every record."""
     out = np.zeros(offsets.size - 1)
-    for size, rows in _equal_size_groups(offsets):
-        out[rows] = x[offsets[rows, None] + np.arange(size)].sum(axis=1)
+    for rows, cols in _equal_size_groups(offsets):
+        out[rows] = x[cols].sum(axis=1)
     return out
 
 
-class _Packed:
-    """Block iteration shared by the CSR batches."""
+def _bin_index(edges: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(bin index, inside) of observations ``y`` (a column) in rows of ``edges``.
 
-    offsets: np.ndarray
-
-    @property
-    def n(self) -> int:
-        """Number of records."""
-        return self.offsets.size - 1
-
-    def _block_sizes(self) -> np.ndarray:
-        # One extra element per record: kernels merge the observation into it.
-        return self.offsets + np.arange(self.offsets.size)
-
-    def blocks(self) -> Iterator[tuple[int, int]]:
-        """Consecutive record ranges [lo, hi) of at most BLOCK_ELEMENTS
-        elements, in record order; a larger record is a block of its own."""
-        sizes = self._block_sizes()  # elements before each record
-        n = self.n
-        if sizes[-1] <= BLOCK_ELEMENTS:
-            yield 0, n
-            return
-        lo = 0
-        while lo < n:
-            hi = int(np.searchsorted(sizes, sizes[lo] + BLOCK_ELEMENTS, side="right")) - 1
-            hi = min(max(hi, lo + 1), n)
-            yield lo, hi
-            lo = hi
-
-    def map_blocks(self, fn, *per_record: np.ndarray) -> np.ndarray:
-        """Per-record values of ``fn(block, *arrays sliced to the block)``."""
-        out = np.empty(self.n)
-        for lo, hi in self.blocks():
-            out[lo:hi] = fn(self.block(lo, hi), *(a[lo:hi] for a in per_record))
-        return out
+    Bins are left-closed and right-open, except the last bin which is
+    closed on both sides.  Outside the grid the index is that of the
+    nearest bin and ``inside`` is False.
+    """
+    k = np.clip((edges <= y).sum(axis=1) - 1, 0, edges.shape[1] - 2)
+    return k, (y[:, 0] >= edges[:, 0]) & (y[:, 0] <= edges[:, -1])
 
 
 @dataclass(frozen=True, eq=False)
-class ForecastBatch(_Packed):
+class ForecastBatch:
     """Point-mass forecasts of many records, packed in CSR layout.
 
     Record r has support ``points[offsets[r]:offsets[r+1]]`` (strictly
@@ -348,12 +332,14 @@ class ForecastBatch(_Packed):
         del steps
         if not np.isfinite(probs).all() or (probs <= 0).any():
             raise ValueError("probs must be finite and strictly positive")
-        totals = np.bincount(_record_ids(offsets), weights=probs, minlength=offsets.size - 1)
+        cdf = np.empty_like(probs)
+        for _, cols in _equal_size_groups(offsets):
+            cdf[cols] = np.cumsum(probs[cols], axis=1)
+        totals = cdf[offsets[1:] - 1] + 0.0
         bad = np.abs(totals - 1.0) > MASS_TOL
         if bad.any():
             total = float(totals[np.argmax(bad)])
             raise ValueError(f"probs must sum to 1 within {MASS_TOL}, got {total!r}")
-        cdf = _segment_cumsum(probs, offsets)
         cdf[offsets[1:] - 1] = 1.0
         object.__setattr__(self, "points", _readonly(points))
         object.__setattr__(self, "probs", _readonly(probs))
@@ -381,17 +367,14 @@ class ForecastBatch(_Packed):
             lengths[rows] = sizes
             parts.append((rows, points, probs, sizes))
         offsets = _offsets(lengths)
-        if len(parts) == 1:  # one form: already in record order
-            _, points, probs, _ = parts.pop()
-        else:
-            points = np.empty(offsets[-1])
-            probs = np.empty(offsets[-1])
-            while parts:
-                rows, part_points, part_probs, sizes = parts.pop()
-                dest = _scatter_index(offsets[rows], sizes)
-                points[dest] = part_points
-                probs[dest] = part_probs
-                del part_points, part_probs, dest
+        points = np.empty(offsets[-1])
+        probs = np.empty(offsets[-1])
+        while parts:
+            rows, part_points, part_probs, sizes = parts.pop()
+            dest = _scatter_index(offsets[rows], sizes)
+            points[dest] = part_points
+            probs[dest] = part_probs
+            del part_points, part_probs, dest
         batch = object.__new__(cls)
         batch._pack(points, probs, offsets)
         object.__setattr__(batch, "sources", forecasts)
@@ -405,58 +388,53 @@ class ForecastBatch(_Packed):
         return cls.from_forecasts([forecast])
 
     @property
+    def n(self) -> int:
+        """Number of records."""
+        return self.offsets.size - 1
+
+    @property
     def lengths(self) -> np.ndarray:
         """Support size of every record."""
         return self.offsets[1:] - self.offsets[:-1]
 
-    @cached_property
-    def record_ids(self) -> np.ndarray:
-        """Record index of every support point."""
-        return _record_ids(self.offsets)
-
-    def equal_size_groups(
-        self, elements: Callable[[int], int] = lambda size: size
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """(support size, record indices) of equal-size records, in chunks of
-        at most BLOCK_ELEMENTS // elements(size) records (one at least)."""
-        return _equal_size_groups(self.offsets, elements)
-
-    def block(self, lo: int, hi: int) -> ForecastBatch:
-        """Records lo..hi-1 as a batch sharing this batch's arrays."""
-        if lo == 0 and hi == self.n:
-            return self
-        start, stop = self.offsets[lo], self.offsets[hi]
+    def record(self, i: int) -> DiscreteForecast:
+        """Record i as a :class:`DiscreteForecast` sharing this batch's arrays."""
+        start, stop = self.offsets[i], self.offsets[i + 1]
         sub = object.__new__(ForecastBatch)
         for name, value in (
             ("points", self.points[start:stop]),
             ("probs", self.probs[start:stop]),
-            ("offsets", self.offsets[lo : hi + 1] - start),
+            ("offsets", np.array([0, stop - start])),
             ("cdf", self.cdf[start:stop]),
-            ("sources", self.sources[lo:hi]),
+            ("sources", self.sources[i : i + 1]),
         ):
             object.__setattr__(sub, name, value)
-        return sub
-
-    def record(self, i: int) -> DiscreteForecast:
-        """Record i as a :class:`DiscreteForecast`."""
         f = object.__new__(DiscreteForecast)
-        f._adopt(self.block(i, i + 1))
+        f._adopt(sub)
         return f
 
     def quantiles(self, tau: float) -> np.ndarray:
         """Generalized inverse CDF of every record at level ``tau``."""
-        below = np.bincount(self.record_ids, weights=self.cdf < tau, minlength=self.n)
-        return self.points[self.offsets[:-1] + np.minimum(below.astype(np.intp), self.lengths - 1)]
+        out = np.empty(self.n)
+        for rows, cols in _equal_size_groups(self.offsets):
+            below = (self.cdf[cols] < tau).sum(axis=1)
+            out[rows] = self.points[cols[:, 0] + np.minimum(below, cols.shape[1] - 1)]
+        return out
 
     def means(self) -> np.ndarray:
-        return np.bincount(self.record_ids, weights=self.probs * self.points, minlength=self.n)
+        out = np.empty(self.n)
+        for rows, cols in _equal_size_groups(self.offsets):
+            out[rows] = _row_sums(self.probs[cols] * self.points[cols])
+        return out
 
     def variances(self) -> np.ndarray:
-        centered = self.points - self.means()[self.record_ids]
-        weights = self.probs * (centered * centered)
-        var = np.bincount(self.record_ids, weights=weights, minlength=self.n)
+        out = np.empty(self.n)
+        for rows, cols in _equal_size_groups(self.offsets):
+            x, p = self.points[cols], self.probs[cols]
+            centered = x - _row_sums(p * x)[:, None]
+            out[rows] = _row_sums(p * (centered * centered))
         # Clamp against negative rounding for near-degenerate supports.
-        return np.maximum(var, 0.0)
+        return np.maximum(out, 0.0)
 
     def stds(self) -> np.ndarray:
         return np.sqrt(self.variances())
@@ -482,7 +460,7 @@ class ForecastBatch(_Packed):
 
 
 @dataclass(frozen=True, eq=False)
-class HistogramBatch(_Packed):
+class HistogramBatch:
     """Histogram form of many records, packed in CSR layout.
 
     Record r has bin masses ``probs[offsets[r]:offsets[r+1]]`` and bin
@@ -515,9 +493,6 @@ class HistogramBatch(_Packed):
         probs = np.empty(offsets[-1])
 
         def place(rows, part_edges, part_probs):
-            if len(rows) == len(forecasts):  # one form: already in record order
-                probs[:], edges[:] = part_probs, part_edges
-                return
             probs[_scatter_index(offsets[rows], bins[rows])] = part_probs
             edges[_scatter_index(edge_offsets[rows], bins[rows] + 1)] = part_edges
 
@@ -531,49 +506,13 @@ class HistogramBatch(_Packed):
             place(quant_rows, part_edges, masses)
         return cls(edges, probs, offsets, edge_offsets, converted=len(quant_rows))
 
-    @property
-    def defined(self) -> np.ndarray:
-        """Whether each record has a histogram."""
-        return self.offsets[1:] > self.offsets[:-1]
-
-    @property
-    def record_ids(self) -> np.ndarray:
-        """Record index of every bin."""
-        return _record_ids(self.offsets)
-
-    def _block_sizes(self) -> np.ndarray:
-        return self.edge_offsets
-
-    def block(self, lo: int, hi: int) -> HistogramBatch:
-        if lo == 0 and hi == self.n:
-            return self
-        start, stop = self.offsets[lo], self.offsets[hi]
-        e_start, e_stop = self.edge_offsets[lo], self.edge_offsets[hi]
-        return HistogramBatch(
-            self.edges[e_start:e_stop],
-            self.probs[start:stop],
-            self.offsets[lo : hi + 1] - start,
-            self.edge_offsets[lo : hi + 1] - e_start,
-        )
-
-    def bin_index(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(bin index, inside) per record for observations ``y``.
-
-        Bins are left-closed and right-open, except the last bin which is
-        closed on both sides.  Outside the grid the index is that of the
-        nearest bin and ``inside`` is False; records without a histogram
-        get index 0 and are never inside.
-        """
-        defined = self.defined
-        counts = self.edge_offsets[1:] - self.edge_offsets[:-1]
-        erec = _record_ids(self.edge_offsets)
-        at_or_below = np.bincount(erec, weights=self.edges <= y[erec], minlength=self.n)
-        k = np.clip(at_or_below.astype(np.intp) - 1, 0, np.maximum(counts - 2, 0))
-        inside = np.zeros(self.n, dtype=bool)
-        first = self.edges[self.edge_offsets[:-1][defined]]
-        last = self.edges[self.edge_offsets[1:][defined] - 1]
-        inside[defined] = (y[defined] >= first) & (y[defined] <= last)
-        return k, inside
+    def groups(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(record indices, bin masses, bin edges) of the records of each bin
+        count, as rows, in chunks within BLOCK_ELEMENTS; records without a
+        histogram are skipped."""
+        for rows, edge_cols in _equal_size_groups(self.edge_offsets):
+            bins = self.offsets[rows, None] + np.arange(edge_cols.shape[1] - 1)
+            yield rows, self.probs[bins], self.edges[edge_cols]
 
 
 def _form_of(forecast) -> type:

@@ -67,6 +67,10 @@ def _reject_constant(value):
 
 _JSON = json.JSONDecoder(parse_constant=_reject_constant)
 
+# The Python types of a JSON number.  bool is an int subclass, but JSON
+# true/false is not a number.
+_NUMBER_TYPES = frozenset((int, float))
+
 
 def _parse_forecast(line: str, line_no: int) -> tuple[dict, ForecastRecord]:
     """Turn one JSON line into its decoded object and its record, or raise."""
@@ -91,16 +95,23 @@ def _parse_forecast(line: str, line_no: int) -> tuple[dict, ForecastRecord]:
         if key not in obj:
             raise RecordParseError(line_no, f"missing field {key!r}")
     target = obj["target"]
-    # bool is an int subclass, but JSON true/false is not a number; an integer
-    # literal too large for a float counts as infinite.
+    # An integer literal too large for a float counts as infinite.
     try:
-        y = float(target) if type(target) in (int, float) else math.nan
+        y = float(target) if type(target) in _NUMBER_TYPES else math.nan
     except OverflowError:
         y = math.inf
     if not math.isfinite(y):
         raise RecordParseError(
             line_no, f"target must be a finite number, got {reprlib.repr(target)}"
         )
+    for key in keys:
+        # numpy would convert numeric strings and booleans as well.
+        values = obj[key]
+        if isinstance(values, list) and not set(map(type, values)) <= _NUMBER_TYPES:
+            bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
+            raise RecordParseError(
+                line_no, f"{key} must contain only numbers, got {reprlib.repr(bad)}"
+            )
     try:
         forecast = cls(*map(obj.__getitem__, keys))
         record_id = str(obj["id"])

@@ -20,8 +20,10 @@ antiderivatives (the antiderivative of the normal CDF is z*cdf(z)+pdf(z)).
 Every metric is one batch kernel ``(batch, targets, spec)`` over a
 :class:`ForecastBatch` that returns per-record values or one batch value;
 the scalar functions (``crps(f, y)`` and so on) run the same kernel on a
-one-record batch.  Kernels work block by block, so their temporaries stay
-within ``forecast.BLOCK_ELEMENTS`` elements whatever the batch size.
+one-record batch.  Kernels gather records of equal support size (or bin
+count) as rows and work row-wise, in chunks whose temporaries stay within
+``forecast.BLOCK_ELEMENTS`` elements whatever the batch size.  Per-record
+sums add left to right, so a record scores the same in any batch.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ from .forecast import (
     ForecastBatch,
     HistogramBatch,
     HistogramForecast,
+    _bin_index,
+    _equal_size_groups,
+    _row_sums,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,7 +74,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Pair-matrix elements the energy score takes per pass from all records of
 # one support size.  Slabs follow from the support sizes in the batch, never
-# from the block budget, so no score depends on where the blocks fall.
+# from the chunk budget, so no score depends on where the chunks fall.
 _PAIR_SLAB_ELEMENTS = 4096
 
 # A kernel scores a whole batch: per-record values (NaN where undefined) or
@@ -126,66 +131,43 @@ def _implied_kernel(spec: MetricSpec) -> Kernel | None:
     return builtin.kernel if builtin is not None else None
 
 
-def _segments(b: ForecastBatch, y: np.ndarray):
-    """Pieces of the piecewise-constant CRPS-type integrands of a block.
+def _pieces(x: np.ndarray, cdf: np.ndarray, y: np.ndarray):
+    """Pieces of the piecewise-constant CRPS-type integrands of equal-size records.
 
-    Each record's support is merged with its observation; every merged
-    value but the last opens one piece, so a record has as many pieces as
-    support points (a zero-width one where y equals a point).  Returns,
-    per piece, (record, left end, width, F(left), 1[left >= y]); outside
-    the pieces the integrands are identically zero.
+    Rows of ``x`` are supports with CDF values ``cdf``; ``y`` is a column
+    of observations.  Each support is merged with its observation, which
+    goes right of the points at or below it; every merged value but the
+    last opens one piece, so a row has as many pieces as support points (a
+    zero-width one where y equals a point).  Returns, per piece, (left end,
+    width, F(left), 1[left >= y]); outside the pieces the integrands are
+    identically zero.
     """
-    n, size = b.n, b.points.size
-    rec = b.record_ids
-    starts = b.offsets[:-1]
-    at_or_below = np.bincount(rec, weights=b.points <= y[rec], minlength=n).astype(np.intp)
-    y_at = starts + np.arange(n) + at_or_below
-    # Points above y move one slot up to make room for it.
-    point_at = np.arange(size) + rec + (np.arange(size) - starts[rec] >= at_or_below[rec])
-    xs = np.empty(size + n)
-    xs[point_at] = b.points
-    xs[y_at] = y
-    cdf = np.empty(size + n)
-    cdf[point_at] = b.cdf
-    cdf[y_at] = np.where(at_or_below > 0, b.cdf[starts + at_or_below - 1], 0.0)
-    opens = np.ones(size + n, dtype=bool)
-    opens[b.offsets[1:] + np.arange(n)] = False
-    left = xs[opens]
-    width = xs[1:][opens[:-1]] - left
-    return rec, left, width, cdf[opens], left >= y[rec]
+    slot = np.arange(x.shape[1] + 1)
+    k = (x <= y).sum(axis=1, keepdims=True)  # the slot of y in the merged row
+    zero = np.zeros_like(y)
+    # Points at or below y keep their slot; the points above y move one up.
+    merged = np.where(slot < k, np.hstack([x, y]), np.where(slot > k, np.hstack([y, x]), y))
+    f_left = np.where(slot < k, np.hstack([cdf, zero]), np.hstack([zero, cdf]))[:, :-1]
+    left = merged[:, :-1]
+    return left, merged[:, 1:] - left, f_left, left >= y
 
 
-def _crps_block(b: ForecastBatch, y: np.ndarray) -> np.ndarray:
-    rec, _, width, cdf, above = _segments(b, y)
+def _integrate(batch: ForecastBatch, targets: np.ndarray, integrand) -> np.ndarray:
+    """Per-record sums of ``integrand(left, width, F(left), above)`` over the pieces."""
+    out = np.empty(batch.n)
+    for rows, cols in _equal_size_groups(batch.offsets):
+        pieces = _pieces(batch.points[cols], batch.cdf[cols], targets[rows, None])
+        out[rows] = _row_sums(integrand(*pieces))
+    return out
+
+
+def _crps_pieces(left, width, cdf, above):
     diff = cdf - above
-    return np.bincount(rec, weights=width * (diff * diff), minlength=b.n)
+    return width * (diff * diff)
 
 
-def _crls_block(b: ForecastBatch, y: np.ndarray) -> np.ndarray:
-    rec, _, width, cdf, above = _segments(b, y)
-    arg = np.abs(cdf + above - 1.0)
-    return np.bincount(rec, weights=width * -np.log(np.maximum(arg, EPS_LOG)), minlength=b.n)
-
-
-def _energy_to_obs(b: ForecastBatch, y: np.ndarray, beta: float) -> np.ndarray:
-    rec = b.record_ids
-    return np.bincount(rec, weights=b.probs * np.abs(b.points - y[rec]) ** beta, minlength=b.n)
-
-
-def _interval_block(b: ForecastBatch, y: np.ndarray, alpha: float) -> np.ndarray:
-    lower = b.quantiles(alpha / 2.0)
-    upper = b.quantiles(1.0 - alpha / 2.0)
-    penalty = np.where(
-        y < lower,
-        (2.0 / alpha) * (lower - y),
-        np.where(y > upper, (2.0 / alpha) * (y - upper), 0.0),
-    )
-    return (upper - lower) + penalty
-
-
-def _covered_block(b: ForecastBatch, y: np.ndarray, level: float) -> np.ndarray:
-    alpha = 1.0 - level
-    return ((b.quantiles(alpha / 2.0) <= y) & (y <= b.quantiles(1.0 - alpha / 2.0))).astype(float)
+def _crls_pieces(left, width, cdf, above):
+    return width * -np.log(np.maximum(np.abs(cdf + above - 1.0), EPS_LOG))
 
 
 def _norm_pdf(z: np.ndarray) -> np.ndarray:
@@ -208,24 +190,17 @@ def _weight_integral(kind: str, a: np.ndarray, b: np.ndarray, loc: float, scale:
     return scale * ((zb - prim_b) - (za - prim_a))
 
 
-def _wcrps_block(b: ForecastBatch, y: np.ndarray, kind: str, loc: float, scale: float):
-    rec, left, width, cdf, above = _segments(b, y)
-    diff = cdf - above
-    w = _weight_integral(kind, left, left + width, loc, scale)
-    return np.bincount(rec, weights=(diff * diff) * w, minlength=b.n)
-
-
 def crps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    return batch.map_blocks(_crps_block, targets)
+    return _integrate(batch, targets, _crps_pieces)
 
 
 def crls_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    return batch.map_blocks(_crls_block, targets)
+    return _integrate(batch, targets, _crls_pieces)
 
 
 def energy_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
     beta = spec.beta
-    out = batch.map_blocks(lambda b, y: _energy_to_obs(b, y, beta), targets)
+    out = np.empty(batch.n)
     # Many records of one size share each pass over their pair matrices,
     # so they take one row per pass; a few take larger slabs, which keeps
     # the passes few for a one-record batch.
@@ -234,9 +209,10 @@ def energy_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricS
     def slab(size: int) -> int:
         return max(1, min(size, _PAIR_SLAB_ELEMENTS // (size * records_of_size[size])))
 
-    for size, rows in batch.equal_size_groups(lambda j: slab(j) * j):
-        cols = batch.offsets[rows, None] + np.arange(size)
-        out[rows] -= _energy_pairs(batch.points[cols], batch.probs[cols], beta, slab(size))
+    for rows, cols in _equal_size_groups(batch.offsets, lambda j: slab(j) * j):
+        x, p = batch.points[cols], batch.probs[cols]
+        to_obs = _row_sums(p * np.abs(x - targets[rows, None]) ** beta)
+        out[rows] = to_obs - _energy_pairs(x, p, beta, slab(cols.shape[1]))
     return out
 
 
@@ -261,7 +237,15 @@ def _energy_pairs(x: np.ndarray, p: np.ndarray, beta: float, slab: int) -> np.nd
 
 
 def interval_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec):
-    return batch.map_blocks(lambda b, y: _interval_block(b, y, spec.alpha), targets)
+    alpha = spec.alpha
+    lower = batch.quantiles(alpha / 2.0)
+    upper = batch.quantiles(1.0 - alpha / 2.0)
+    penalty = np.where(
+        targets < lower,
+        (2.0 / alpha) * (lower - targets),
+        np.where(targets > upper, (2.0 / alpha) * (targets - upper), 0.0),
+    )
+    return (upper - lower) + penalty
 
 
 def wcrps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
@@ -278,43 +262,46 @@ def wcrps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) ->
         if scale <= 0.0:
             raise InvalidScaleError(f"weight scale must be > 0, got {scale}")
     kind = spec.weight_kind or "unit"
-    return batch.map_blocks(lambda b, y: _wcrps_block(b, y, kind, loc, scale), targets)
+
+    def integrand(left, width, cdf, above):
+        diff = cdf - above
+        return (diff * diff) * _weight_integral(kind, left, left + width, loc, scale)
+
+    return _integrate(batch, targets, integrand)
 
 
-def _log_block(h: HistogramBatch, y: np.ndarray) -> np.ndarray:
-    out = np.full(h.n, math.nan)
-    k, inside = h.bin_index(y)
-    rows = np.flatnonzero(h.defined)
-    at = h.offsets[rows] + k[rows]
-    edge = h.edge_offsets[rows] + k[rows]
-    p = np.where(inside[rows], np.maximum(h.probs[at], EPS_DENSITY), EPS_DENSITY)
-    out[rows] = -np.log(p / (h.edges[edge + 1] - h.edges[edge]))
+def _log_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
+    out = np.full(hists.offsets.size - 1, math.nan)
+    for rows, probs, edges in hists.groups():
+        k, inside = _bin_index(edges, targets[rows, None])
+        r = np.arange(rows.size)
+        p = np.where(inside, np.maximum(probs[r, k], EPS_DENSITY), EPS_DENSITY)
+        out[rows] = -np.log(p / (edges[r, k + 1] - edges[r, k]))
     return out
 
 
 def _brier_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
-    out = np.full(hists.n, math.nan)
-    for lo, hi in hists.blocks():
-        h, y = hists.block(lo, hi), targets[lo:hi]
-        k, inside = h.bin_index(y)
-        outside = h.defined & ~inside
-        if outside.any():
-            r = int(np.argmax(outside))
-            first, last = h.edges[h.edge_offsets[r]], h.edges[h.edge_offsets[r + 1] - 1]
-            raise OutsideSupportError(
-                f"observation {float(y[r])} outside histogram support"
-                f" [{float(first)}, {float(last)}]",
-                index=lo + r,
-            )
-        rows = np.flatnonzero(h.defined)
-        total = np.bincount(h.record_ids, weights=h.probs * h.probs, minlength=h.n)
-        out[lo + rows] = total[rows] - 2.0 * h.probs[h.offsets[rows] + k[rows]] + 1.0
+    out = np.full(hists.offsets.size - 1, math.nan)
+    outside = np.zeros(out.size, dtype=bool)
+    for rows, probs, edges in hists.groups():
+        k, inside = _bin_index(edges, targets[rows, None])
+        outside[rows] = ~inside
+        out[rows] = _row_sums(probs * probs) - 2.0 * probs[np.arange(rows.size), k] + 1.0
+    if outside.any():
+        r = int(np.argmax(outside))
+        first = hists.edges[hists.edge_offsets[r]]
+        last = hists.edges[hists.edge_offsets[r + 1] - 1]
+        raise OutsideSupportError(
+            f"observation {float(targets[r])} outside histogram support"
+            f" [{float(first)}, {float(last)}]",
+            index=r,
+        )
     return out
 
 
 def log_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
     """Histogram log score; NaN for records without a histogram form."""
-    return batch.histograms().map_blocks(_log_block, targets)
+    return _log_scores(batch.histograms(), targets)
 
 
 def brier_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
@@ -326,26 +313,22 @@ def brier_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSp
     return _brier_scores(batch.histograms(), targets)
 
 
-def _medians_and_means(batch: ForecastBatch) -> tuple[np.ndarray, np.ndarray]:
-    return batch.map_blocks(lambda b: b.quantiles(0.5)), batch.map_blocks(ForecastBatch.means)
-
-
 def mae_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    return np.abs(targets - batch.map_blocks(lambda b: b.quantiles(0.5)))
+    return np.abs(targets - batch.quantiles(0.5))
 
 
 def rmse_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> float:
-    return point_metrics(*_medians_and_means(batch), targets).rmse
+    return point_metrics(batch.quantiles(0.5), batch.means(), targets).rmse
 
 
 def r2_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> float:
-    r2 = point_metrics(*_medians_and_means(batch), targets).r2
+    r2 = point_metrics(batch.quantiles(0.5), batch.means(), targets).r2
     return math.nan if r2 is None else r2
 
 
 def sharpness_kernel(batch: ForecastBatch, targets, spec: MetricSpec) -> np.ndarray:
     """Per-record predictive standard deviation."""
-    return batch.map_blocks(ForecastBatch.stds)
+    return batch.stds()
 
 
 def dispersion_kernel(batch: ForecastBatch, targets, spec: MetricSpec) -> float:
@@ -355,7 +338,9 @@ def dispersion_kernel(batch: ForecastBatch, targets, spec: MetricSpec) -> float:
 
 def coverage_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
     """1.0 where y lies in the central ``spec.level`` interval, bounds inclusive."""
-    return batch.map_blocks(lambda b, y: _covered_block(b, y, spec.level), targets)
+    alpha = 1.0 - spec.level
+    lower, upper = batch.quantiles(alpha / 2.0), batch.quantiles(1.0 - alpha / 2.0)
+    return ((lower <= targets) & (targets <= upper)).astype(float)
 
 
 _PARAMETER_KERNELS = (
@@ -468,8 +453,7 @@ def log_score(h: HistogramForecast, y: float) -> float:
     below at 1e-12; an observation outside the grid is scored with the
     clamp mass over the nearest bin's width.
     """
-    hists = HistogramBatch.from_forecasts([h])
-    return float(hists.map_blocks(_log_block, np.array([y], dtype=float))[0])
+    return float(_log_scores(HistogramBatch.from_forecasts([h]), np.array([y], dtype=float))[0])
 
 
 def brier_score(h: HistogramForecast, y: float) -> float:

@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from probeval.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args):
@@ -70,6 +75,18 @@ class TestLeaderboardCommand:
         assert code == 1
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nsim", [0, -5])
+    def test_nsim_below_one_is_input_error(self, tmp_path, capsys, nsim):
+        runs = synth_runs(tmp_path)
+        code = run_cli("leaderboard", "--runs", runs, "--metric", "crps",
+                       "--nsim", nsim, "--seed", 7, "--out", tmp_path / "lb.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"probeval leaderboard: error: argument --nsim: must be at least 1, got {nsim}"
+        ]
+
     def test_byte_identical_reruns(self, tmp_path):
         runs = synth_runs(tmp_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -111,6 +128,18 @@ class TestScoreCommand:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "id,target,crps"
         assert lines[-1].startswith("mean,")
+
+    def test_every_builtin_metric_matches_the_golden_table(self, tmp_path, recwarn):
+        # The corpus holds all three forms with supports on both sides of 8
+        # points, ties, observations below, above and on support points, one
+        # in an empty bin, and an exact-zero CRLS (which must print as 0.0).
+        golden = (DATA / "scores_golden.csv").read_bytes()
+        metrics = golden.decode("utf-8").splitlines()[0].split(",")[2:]
+        out = tmp_path / "scores.csv"
+        code = run_cli("score", "--forecasts", DATA / "scores_corpus.jsonl",
+                       "--metrics", ",".join(metrics), "--out", out)
+        assert code == 0
+        assert out.read_bytes() == golden
 
     def test_unknown_metric(self, tmp_path, capsys):
         path = self.forecasts_file(tmp_path, [

@@ -5,6 +5,7 @@ chunks, rather than line by line, would misplace it.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -31,6 +32,10 @@ BAD_FORECASTS = {
     "lone surrogate id": samples_line(b'"\\udc80"'),
     "infinite total mass": json.dumps({"id": "b", "target": 0.5, "type": "histogram",
                                        "edges": [0, 1, 2], "probs": [1e308, 1e308]}).encode(),
+    "numeric strings in values": samples_line(b'"b"', values=b'["1.5", " 2 ", "1e1"]'),
+    "booleans in values": samples_line(b'"b"', values=b"[true, false, 2]"),
+    "numeric string in edges": json.dumps({"id": "b", "target": 0.5, "type": "histogram",
+                                           "edges": [0, "1", 2], "probs": [0.5, 0.5]}).encode(),
 }
 
 BAD_RUNS = {
@@ -69,6 +74,19 @@ def test_bad_forecast_line(tmp_path, capsys, bad):
     assert f"line {line}: {err.value.message}\n" in capsys.readouterr().out
     n, repaired, violations = validate_forecast_file(path)
     assert (n, repaired, [v.line for v in violations]) == (LEADING + 2, 0, [line])
+
+
+def test_overflowing_mass_prints_only_the_error_line(tmp_path, capsys):
+    path = tmp_path / "fc.jsonl"
+    path.write_bytes(BAD_FORECASTS["infinite total mass"] + b"\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any warning would also reach the terminal
+        code = main(["score", "--forecasts", str(path), "--metrics", "crps",
+                     "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: probs must carry positive, finite total mass\n"
+    )
 
 
 @pytest.mark.parametrize("bad", BAD_RUNS.values(), ids=BAD_RUNS)
