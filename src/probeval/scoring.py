@@ -155,7 +155,8 @@ def _pieces(x: np.ndarray, cdf: np.ndarray, y: np.ndarray):
 def _integrate(batch: ForecastBatch, targets: np.ndarray, integrand) -> np.ndarray:
     """Per-record sums of ``integrand(left, width, F(left), above)`` over the pieces."""
     out = np.empty(batch.n)
-    for rows, cols in _equal_size_groups(batch.offsets):
+    # A merged row holds one point more than its support.
+    for rows, cols in _equal_size_groups(batch.offsets, lambda size: size + 1):
         pieces = _pieces(batch.points[cols], batch.cdf[cols], targets[rows, None])
         out[rows] = _row_sums(integrand(*pieces))
     return out

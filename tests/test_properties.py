@@ -26,7 +26,6 @@ from probeval.errors import OutsideSupportError, QuantileCrossingWarning
 from probeval.io import ForecastRecord
 
 REL = 1e-12
-TINY = float(np.finfo(float).tiny)
 
 PROPERTY_SETTINGS = settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -77,12 +76,7 @@ batches = st.lists(st.tuples(forecasts, observation), min_size=1, max_size=10)
 
 
 def close(got, want, scale=0.0):
-    # Equal values match even where both are infinite: a bin narrower than the
-    # smallest normal float overflows its density in the kernel and the oracle alike.
-    # Below the smallest normal float, floats keep a fixed absolute spacing, so the
-    # relative bound is taken against that float (subnormal supports in the energy
-    # score round differently in the kernel's and the oracle's summation order).
-    return got == want or abs(got - want) <= REL * max(abs(want), scale, TINY)
+    return abs(got - want) <= REL * max(abs(want), scale)
 
 
 def kernel_values(name, batch, targets):
