@@ -66,13 +66,23 @@ def _resolve_cli_metrics(names: list[str], args) -> list[scoring.MetricSpec]:
     return specs
 
 
+def _print_notes(caught: list[warnings.WarningMessage]) -> None:
+    for w in caught:
+        print(f"note: {w.message}", file=sys.stderr)
+
+
 def cmd_score(args) -> int:
-    records = io.read_forecasts(args.forecasts)
-    names = [n.strip() for n in args.metrics.split(",") if n.strip()]
-    if not names:
-        raise UnknownMetricError("no metrics requested")
-    specs = _resolve_cli_metrics(names, args)
-    results = scoring.score_batch(records, specs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            records = io.read_forecasts(args.forecasts)
+            names = [n.strip() for n in args.metrics.split(",") if n.strip()]
+            if not names:
+                raise UnknownMetricError("no metrics requested")
+            specs = _resolve_cli_metrics(names, args)
+            results = scoring.score_batch(records, specs)
+        finally:
+            _print_notes(caught)
     io.write_scores(records, results, args.out)
     print(f"{len(records)} record(s) scored, {len(results)} metric column(s) -> {args.out}")
     for name, result in results.items():
@@ -86,8 +96,7 @@ def cmd_leaderboard(args) -> int:
         warnings.simplefilter("always")
         rows = ranking.build_leaderboard(records, args.metric, nsim=args.nsim, seed=args.seed)
     dropped = [w for w in caught if issubclass(w.category, DroppedDatasetWarning)]
-    for w in caught:
-        print(f"note: {w.message}", file=sys.stderr)
+    _print_notes(caught)
     print(f"{len(dropped)} dataset(s) dropped; {len(rows)} model(s) ranked", file=sys.stderr)
     io.write_leaderboard(rows, args.out, wide=args.wide)
     print(f"leaderboard for {args.metric} -> {args.out}")

@@ -11,9 +11,9 @@ approximately.
 arrays (CSR layout) so that conversions and scoring rules run over a whole
 batch at once; :class:`DiscreteForecast` is the one-record view of it.
 Per-record work walks a batch one way: records of equal support size are
-gathered as the rows of a matrix (:func:`_equal_size_groups`) and handled
-by row-wise numpy operations, so each record gets exactly the result a
-batch of that record alone would give.
+gathered as the rows of a matrix (:class:`_SizeGroups`, computed once per
+batch) and handled by row-wise numpy operations, so each record gets
+exactly the result a batch of that record alone would give.
 
 All forecast types are immutable after construction and every operation
 here is pure, so instances are safe to share between workers.
@@ -224,33 +224,46 @@ def _run_starts(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return new
 
 
-def _equal_size_groups(
-    offsets: np.ndarray, elements: Callable[[int], int] = lambda size: size
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(record indices, flat indices) of the records of each segment size.
+class _SizeGroups:
+    """The records of a CSR layout grouped by segment size, computed once.
 
-    The flat indices form a (records x size) matrix, so ``x[cols]`` gathers
-    the records of a group as rows.  Each group is split so that
-    rows * elements(size) stays within BLOCK_ELEMENTS (one row at least);
-    empty records are skipped.  Row-wise numpy operations over a group
-    give every record the same result as a call on that record alone.
+    The records of each nonzero size form one group, in record order; the
+    groups come in ascending size, and empty records belong to none.
+    Callers walk the groups with :meth:`chunks`, each with its own budget.
     """
-    lengths = offsets[1:] - offsets[:-1]
-    if lengths.size == 0:
-        return
-    if lengths.min() == lengths.max():
-        groups = [np.arange(lengths.size)]
-    else:
-        order = np.argsort(lengths, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
-    for rows in groups:
-        size = int(lengths[rows[0]])
-        if size == 0:
-            continue
-        step = max(1, BLOCK_ELEMENTS // elements(size))
-        for i in range(0, rows.size, step):
-            chunk = rows[i : i + step]
-            yield chunk, offsets[chunk, None] + np.arange(size)
+
+    __slots__ = ("_groups",)
+
+    def __init__(self, offsets: np.ndarray):
+        lengths = offsets[1:] - offsets[:-1]
+        if lengths.size == 0:
+            groups = []
+        elif lengths.min() == lengths.max():
+            groups = [np.arange(lengths.size)]
+        else:
+            order = np.argsort(lengths, kind="stable")
+            groups = np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
+        self._groups = [
+            (int(lengths[rows[0]]), rows, offsets[rows, None])
+            for rows in groups
+            if lengths[rows[0]] > 0
+        ]
+
+    def chunks(
+        self, elements: Callable[[int], int] = lambda size: size
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(record indices, flat indices) of chunks of the records of each size.
+
+        The flat indices form a (records x size) matrix, so ``x[cols]``
+        gathers the records of a chunk as rows.  Each group is split so
+        that rows * elements(size) stays within BLOCK_ELEMENTS (one row at
+        least).  Row-wise numpy operations over a chunk give every record
+        the same result as a call on that record alone.
+        """
+        for size, rows, starts in self._groups:
+            step = max(1, BLOCK_ELEMENTS // elements(size))
+            for i in range(0, rows.size, step):
+                yield rows[i : i + step], starts[i : i + step] + np.arange(size)
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -266,7 +279,7 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 def _segment_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-record totals, equal to ``x[record].sum()`` for every record."""
     out = np.zeros(offsets.size - 1)
-    for rows, cols in _equal_size_groups(offsets):
+    for rows, cols in _SizeGroups(offsets).chunks():
         out[rows] = x[cols].sum(axis=1)
     return out
 
@@ -289,14 +302,16 @@ class ForecastBatch:
     Record r has support ``points[offsets[r]:offsets[r+1]]`` (strictly
     ascending) with masses ``probs`` at the same positions; ``cdf`` holds
     each record's cumulative masses, accumulated per record and pinned to
-    exactly 1.0 at its last point.  Construction validates every record
-    with the same errors as :class:`DiscreteForecast`.
+    exactly 1.0 at its last point; ``by_size`` groups the records by
+    support size for every per-record computation.  Construction validates
+    every record with the same errors as :class:`DiscreteForecast`.
     """
 
     points: np.ndarray
     probs: np.ndarray
     offsets: np.ndarray
     cdf: np.ndarray = field(init=False, repr=False)
+    by_size: _SizeGroups = field(init=False, repr=False)
     sources: tuple = field(init=False, repr=False, default=())
 
     def __post_init__(self):
@@ -332,8 +347,9 @@ class ForecastBatch:
         del steps
         if not np.isfinite(probs).all() or (probs <= 0).any():
             raise ValueError("probs must be finite and strictly positive")
+        by_size = _SizeGroups(offsets)
         cdf = np.empty_like(probs)
-        for _, cols in _equal_size_groups(offsets):
+        for _, cols in by_size.chunks():
             cdf[cols] = np.cumsum(probs[cols], axis=1)
         totals = cdf[offsets[1:] - 1] + 0.0
         bad = np.abs(totals - 1.0) > MASS_TOL
@@ -345,6 +361,7 @@ class ForecastBatch:
         object.__setattr__(self, "probs", _readonly(probs))
         object.__setattr__(self, "offsets", _readonly(offsets))
         object.__setattr__(self, "cdf", _readonly(cdf))
+        object.__setattr__(self, "by_size", by_size)
 
     @classmethod
     def from_forecasts(cls, forecasts: Iterable[Forecast]) -> ForecastBatch:
@@ -400,12 +417,14 @@ class ForecastBatch:
     def record(self, i: int) -> DiscreteForecast:
         """Record i as a :class:`DiscreteForecast` sharing this batch's arrays."""
         start, stop = self.offsets[i], self.offsets[i + 1]
+        offsets = np.array([0, stop - start])
         sub = object.__new__(ForecastBatch)
         for name, value in (
             ("points", self.points[start:stop]),
             ("probs", self.probs[start:stop]),
-            ("offsets", np.array([0, stop - start])),
+            ("offsets", offsets),
             ("cdf", self.cdf[start:stop]),
+            ("by_size", _SizeGroups(offsets)),
             ("sources", self.sources[i : i + 1]),
         ):
             object.__setattr__(sub, name, value)
@@ -416,20 +435,20 @@ class ForecastBatch:
     def quantiles(self, tau: float) -> np.ndarray:
         """Generalized inverse CDF of every record at level ``tau``."""
         out = np.empty(self.n)
-        for rows, cols in _equal_size_groups(self.offsets):
+        for rows, cols in self.by_size.chunks():
             below = (self.cdf[cols] < tau).sum(axis=1)
             out[rows] = self.points[cols[:, 0] + np.minimum(below, cols.shape[1] - 1)]
         return out
 
     def means(self) -> np.ndarray:
         out = np.empty(self.n)
-        for rows, cols in _equal_size_groups(self.offsets):
+        for rows, cols in self.by_size.chunks():
             out[rows] = _row_sums(self.probs[cols] * self.points[cols])
         return out
 
     def variances(self) -> np.ndarray:
         out = np.empty(self.n)
-        for rows, cols in _equal_size_groups(self.offsets):
+        for rows, cols in self.by_size.chunks():
             x, p = self.points[cols], self.probs[cols]
             centered = x - _row_sums(p * x)[:, None]
             out[rows] = _row_sums(p * (centered * centered))
@@ -466,7 +485,8 @@ class HistogramBatch:
     Record r has bin masses ``probs[offsets[r]:offsets[r+1]]`` and bin
     edges ``edges[edge_offsets[r]:edge_offsets[r+1]]``.  Records with no
     density (samples, point masses, single-level quantiles) have no bins.
-    ``converted`` counts the quantile records converted to histograms.
+    ``converted`` counts the quantile records converted to histograms;
+    ``by_bins`` groups the records by edge count.
     """
 
     edges: np.ndarray
@@ -474,6 +494,10 @@ class HistogramBatch:
     offsets: np.ndarray
     edge_offsets: np.ndarray
     converted: int = 0
+    by_bins: _SizeGroups = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "by_bins", _SizeGroups(self.edge_offsets))
 
     @classmethod
     def from_forecasts(cls, forecasts: Iterable[Forecast]) -> HistogramBatch:
@@ -510,7 +534,7 @@ class HistogramBatch:
         """(record indices, bin masses, bin edges) of the records of each bin
         count, as rows, in chunks within BLOCK_ELEMENTS; records without a
         histogram are skipped."""
-        for rows, edge_cols in _equal_size_groups(self.edge_offsets):
+        for rows, edge_cols in self.by_bins.chunks():
             bins = self.offsets[rows, None] + np.arange(edge_cols.shape[1] - 1)
             yield rows, self.probs[bins], self.edges[edge_cols]
 

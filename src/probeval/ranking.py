@@ -29,7 +29,6 @@ from itertools import compress
 from typing import Iterable
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import rng
 from .errors import (
@@ -153,10 +152,36 @@ def rank_transform(matrix: ScoreMatrix) -> np.ndarray:
     """Within-dataset ranks, 1 = best under the metric orientation.
 
     Ties receive fractional (average) ranks, the standard nonparametric
-    convention.
+    convention; a dataset with a NaN score ranks all-NaN.
     """
     oriented = matrix.values if matrix.orientation == LOWER_BETTER else -matrix.values
-    return rankdata(oriented, method="average", axis=0)
+    return _average_ranks(oriented)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based average ranks down each column of ``x``, all columns at once.
+
+    Each column is sorted (stably) as one row of ``x.T``; a tie run at
+    sorted positions start..end-1 takes the rank (start + end + 1) / 2 at
+    every position.  Ranks are small integers or halves, so they are
+    exact, and a column holding a NaN comes out all-NaN; the result equals
+    ``scipy.stats.rankdata(x, method="average", axis=0)`` bit for bit.
+    """
+    cols = np.asarray(x, dtype=float).T
+    n = cols.shape[1]
+    order = np.argsort(cols, axis=1, kind="stable")
+    ordered = np.take_along_axis(cols, order, axis=1)
+    opens = np.ones(cols.shape, dtype=bool)
+    opens[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    # Every column opens a run at its first position, so no run spans two.
+    first = np.flatnonzero(opens)
+    counts = np.diff(first, append=opens.size)
+    start = first % max(n, 1)  # position within the column
+    run_ranks = (start + (start + counts) + 1) / 2
+    ranks = np.empty(cols.shape)
+    np.put_along_axis(ranks, order, np.repeat(run_ranks, counts).reshape(cols.shape), axis=1)
+    ranks[np.isnan(cols).any(axis=1)] = np.nan
+    return ranks.T
 
 
 def observed_statistics(ranks: np.ndarray, matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     ConversionWarning,
@@ -52,7 +51,6 @@ from .forecast import (
     HistogramBatch,
     HistogramForecast,
     _bin_index,
-    _equal_size_groups,
     _row_sums,
 )
 
@@ -156,7 +154,7 @@ def _integrate(batch: ForecastBatch, targets: np.ndarray, integrand) -> np.ndarr
     """Per-record sums of ``integrand(left, width, F(left), above)`` over the pieces."""
     out = np.empty(batch.n)
     # A merged row holds one point more than its support.
-    for rows, cols in _equal_size_groups(batch.offsets, lambda size: size + 1):
+    for rows, cols in batch.by_size.chunks(lambda size: size + 1):
         pieces = _pieces(batch.points[cols], batch.cdf[cols], targets[rows, None])
         out[rows] = _row_sums(integrand(*pieces))
     return out
@@ -179,6 +177,9 @@ def _weight_integral(kind: str, a: np.ndarray, b: np.ndarray, loc: float, scale:
     """Integral of the weight function over target-axis intervals [a, b]."""
     if kind == "unit":
         return b - a
+    # Imported here so that only runs with Gaussian weights load scipy.
+    from scipy.special import ndtr
+
     za = (a - loc) / scale
     zb = (b - loc) / scale
     if kind == "center":
@@ -210,7 +211,7 @@ def energy_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricS
     def slab(size: int) -> int:
         return max(1, min(size, _PAIR_SLAB_ELEMENTS // (size * records_of_size[size])))
 
-    for rows, cols in _equal_size_groups(batch.offsets, lambda j: slab(j) * j):
+    for rows, cols in batch.by_size.chunks(lambda j: slab(j) * j):
         x, p = batch.points[cols], batch.probs[cols]
         to_obs = _row_sums(p * np.abs(x - targets[rows, None]) ** beta)
         out[rows] = to_obs - _energy_pairs(x, p, beta, slab(cols.shape[1]))
@@ -277,7 +278,15 @@ def _log_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
         k, inside = _bin_index(edges, targets[rows, None])
         r = np.arange(rows.size)
         p = np.where(inside, np.maximum(probs[r, k], EPS_DENSITY), EPS_DENSITY)
-        out[rows] = -np.log(p / (edges[r, k + 1] - edges[r, k]))
+        width = edges[r, k + 1] - edges[r, k]
+        with np.errstate(over="ignore"):
+            density = p / width
+        scores = -np.log(density)
+        # A bin narrower than about 1e-308 overflows the density; take the
+        # difference of logs there, and only there.
+        overflow = ~np.isfinite(density)
+        scores[overflow] = np.log(width[overflow]) - np.log(p[overflow])
+        out[rows] = scores
     return out
 
 

@@ -161,7 +161,11 @@ def log_score(edges, probs, y):
         k, p = (0 if y < edges[0] else probs.size - 1), EPS
     else:
         p = max(float(probs[k]), EPS)
-    return -math.log(p / float(edges[k + 1] - edges[k]))
+    width = float(edges[k + 1] - edges[k])
+    density = p / width
+    if not math.isfinite(density):  # a bin narrower than about 1e-308
+        return math.log(width) - math.log(p)
+    return -math.log(density)
 
 
 def brier(edges, probs, y):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from probeval.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run_cli(*args):
@@ -192,6 +196,64 @@ class TestScoreCommand:
                        "--out", tmp_path / "s.csv")
         assert code == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_warnings_print_as_notes(self, tmp_path, capsys):
+        code = run_cli("score", "--forecasts", DATA / "scores_corpus.jsonl",
+                       "--metrics", "crps,log_score", "--out", tmp_path / "s.csv")
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: 1 quantile crossing(s) repaired by monotone rearrangement",
+            "note: 6 quantile record(s) converted to histograms for density scores",
+        ]
+
+    def test_every_quantile_crossing_gets_a_note(self, tmp_path, capsys):
+        crossing = {"target": 0.5, "type": "quantiles",
+                    "levels": [0.1, 0.5, 0.9], "values": [1.0, 0.5, 0.0]}
+        path = self.forecasts_file(tmp_path, [dict(crossing, id=str(i)) for i in range(3)])
+        code = run_cli("score", "--forecasts", path, "--metrics", "crps",
+                       "--out", tmp_path / "s.csv")
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: 2 quantile crossing(s) repaired by monotone rearrangement"
+        ] * 3
+
+
+def scipy_modules_after(code: str, tmp_path) -> list[str]:
+    """The scipy modules loaded by a fresh interpreter after running ``code``."""
+    script = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestStartup:
+    """scipy is loaded only by wCRPS's Gaussian weights, never at start-up."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert scipy_modules_after("import probeval, probeval.cli", tmp_path) == []
+
+    def test_score_and_leaderboard_load_no_scipy(self, tmp_path):
+        runs = synth_runs(tmp_path)
+        code = f"""
+from probeval.cli import main
+assert main(["score", "--forecasts", {str(DATA / "scores_corpus.jsonl")!r},
+             "--metrics", "crps,mae", "--out", "s.csv"]) == 0
+assert main(["leaderboard", "--runs", {str(runs)!r}, "--metric", "crps",
+             "--nsim", "50", "--seed", "1", "--out", "lb.csv"]) == 0
+"""
+        assert scipy_modules_after(code, tmp_path) == []
+
+    def test_gaussian_wcrps_loads_scipy_special(self, tmp_path):
+        code = f"""
+from probeval.cli import main
+assert main(["score", "--forecasts", {str(DATA / "scores_corpus.jsonl")!r},
+             "--metrics", "wcrps_left", "--out", "s.csv"]) == 0
+"""
+        assert "scipy.special" in scipy_modules_after(code, tmp_path)
 
 
 class TestValidateCommand:

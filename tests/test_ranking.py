@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from probeval import (
     HIGHER_BETTER,
+    LOWER_BETTER,
     MetricSpec,
     RunRecord,
     ScoreMatrix,
@@ -112,6 +116,41 @@ class TestRankTransform:
         matrix = ScoreMatrix(("a", "b", "c"), ("d0",),
                              np.array([[1.0], [1.0], [2.0]]), "lower_better")
         assert rank_transform(matrix)[:, 0].tolist() == [1.5, 1.5, 3.0]
+
+    def test_signed_zeros_tie_and_nan_datasets_rank_nan(self):
+        matrix = ScoreMatrix(("a", "b", "c"), ("d0", "d1"),
+                             np.array([[0.0, 1.0], [-0.0, np.nan], [np.inf, 2.0]]),
+                             "lower_better")
+        ranks = rank_transform(matrix)
+        assert ranks[:, 0].tolist() == [1.5, 1.5, 3.0]
+        assert np.isnan(ranks[:, 1]).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_scipy_rankdata_bit_for_bit(self, data):
+        models = data.draw(st.integers(1, 7))
+        datasets = data.draw(st.integers(0, 5))
+        # A small pool makes ties likely, -0.0 against 0.0 and infinities included.
+        element = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf]),
+            st.floats(allow_nan=False, allow_infinity=True),
+        )
+        values = np.array(
+            data.draw(st.lists(st.lists(element, min_size=datasets, max_size=datasets),
+                               min_size=models, max_size=models)),
+            dtype=float,
+        ).reshape(models, datasets)
+        for d in data.draw(st.sets(st.integers(0, max(datasets - 1, 0)))):
+            if d < datasets:
+                values[data.draw(st.integers(0, models - 1)), d] = np.nan
+        orientation = data.draw(st.sampled_from([LOWER_BETTER, HIGHER_BETTER]))
+        matrix = ScoreMatrix(tuple(f"m{m}" for m in range(models)),
+                             tuple(f"d{d}" for d in range(datasets)), values, orientation)
+        oriented = values if orientation == LOWER_BETTER else -values
+        want = rankdata(oriented, method="average", axis=0)
+        got = rank_transform(matrix)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestObservedStatistics:

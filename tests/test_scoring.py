@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import oracle
 from conftest import random_discrete
 from probeval import (
     DiscreteForecast,
@@ -18,6 +19,7 @@ from probeval import (
     interval_score,
     log_score,
     point_metrics,
+    quantiles_to_histogram,
     resolve_metric,
     score_batch,
     wcrps,
@@ -161,6 +163,20 @@ class TestLogScore:
         h = HistogramForecast([0, 1, 2], [0.2, 0.8])
         assert log_score(h, 1.0) == pytest.approx(-math.log(0.8))  # left-closed
         assert log_score(h, 2.0) == pytest.approx(-math.log(0.8))  # last bin right-closed
+
+    def test_subnormal_bin_width_does_not_overflow(self):
+        # p / width overflows to inf for a bin 5e-324 wide; the score is
+        # log(width) - log(p), about -743.7, not -inf.
+        q = QuantileForecast([0.01, 0.02, 0.03], [0.0, 5e-324, 0.25])
+        h = quantiles_to_histogram(q)
+        value = math.log(5e-324) - math.log(float(h.probs[0]))
+        assert value == pytest.approx(-743.7469, abs=1e-3)
+        expected = pytest.approx(value, rel=1e-12)
+        assert log_score(h, 0.0) == expected
+        assert oracle.log_score(h.edges, h.probs, 0.0) == expected
+        with pytest.warns(ConversionWarning):
+            result = score_batch([ForecastRecord("q", 0.0, q)], ["log_score"])
+        assert result["log_score"].values[0] == expected
 
 
 class TestBrierScore:
