@@ -16,10 +16,17 @@ _WORD = 1 << 64
 
 
 def _finalize(x: np.ndarray) -> np.ndarray:
-    # SplitMix64 finalizer; uint64 array arithmetic wraps modulo 2**64.
-    x = (x ^ (x >> np.uint64(30))) * _MULT1
-    x = (x ^ (x >> np.uint64(27))) * _MULT2
-    return x ^ (x >> np.uint64(31))
+    # SplitMix64 finalizer, in place on ``x``, which the caller owns; uint64
+    # array arithmetic wraps modulo 2**64.  One scratch buffer holds each
+    # shifted copy, so a stream allocates a single temporary.
+    shifted = np.empty_like(x)
+    for shift, mult in ((np.uint64(30), _MULT1), (np.uint64(27), _MULT2)):
+        np.right_shift(x, shift, out=shifted)
+        x ^= shifted
+        x *= mult
+    np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= shifted
+    return x
 
 
 def counter_hash(seed: int, *streams) -> np.ndarray:

@@ -1,20 +1,25 @@
-"""Per-record reference formulas for the conversions and scoring rules.
+"""Reference formulas for the conversions, the scoring rules and the permutation null.
 
-Each function handles one forecast and one observation with plain numpy
-on that record alone, the way the scoring rules were first written: loops
-over segments, the full double sum for the energy score, ``np.unique``
-for the conversions.  The property tests check the batch kernels of
-``probeval`` against these.
+Each scoring function handles one forecast and one observation with plain
+numpy on that record alone, the way the scoring rules were first written:
+loops over segments, the full double sum for the energy score,
+``np.unique`` for the conversions.  The property tests check the batch
+kernels of ``probeval`` against these.  ``permutation_null`` is the Monte
+Carlo null as first written, a stable argsort per row of hash keys, and
+``exact_p`` is its exact limit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import ndtr
 
-from probeval import DiscreteForecast, HistogramForecast, QuantileForecast, SampleForecast
+from probeval import DiscreteForecast, HistogramForecast, QuantileForecast, SampleForecast, rng
+from probeval.ranking import _SHUFFLE_STREAM
 
 EPS = 1e-12
 
@@ -174,3 +179,49 @@ def brier(edges, probs, y):
     if k < 0:
         return None
     return float(np.dot(probs, probs)) - 2.0 * float(probs[k]) + 1.0
+
+
+def permutation_null(ranks, nsim, seed, chunk_size=None):
+    """(nsim, models) null mean ranks: per chunk and dataset, a stable argsort of the keys."""
+    ranks = np.asarray(ranks, dtype=float)
+    n_models, n_datasets = ranks.shape
+    chunk = nsim if chunk_size is None else max(1, int(chunk_size))
+    slots = np.arange(n_models, dtype=np.uint64)[None, :]
+    out = np.empty((nsim, n_models))
+    for lo in range(0, nsim, chunk):
+        hi = min(lo + chunk, nsim)
+        sims = np.arange(lo, hi, dtype=np.uint64)[:, None]
+        sums = np.zeros((hi - lo, n_models))
+        for d in range(n_datasets):
+            keys = rng.counter_hash(seed, _SHUFFLE_STREAM, d, sims, slots)
+            perm = np.argsort(keys, axis=1, kind="stable")
+            sums += ranks[perm, d]
+        out[lo:hi] = sums / n_datasets
+    return out
+
+
+def exact_p(ranks, model) -> Fraction:
+    """P(null mean rank of ``model`` <= its observed mean), exactly.
+
+    Under within-dataset shuffles the model's rank in dataset d is uniform
+    over that dataset's rank multiset, independently across datasets.
+    Average ranks are integers or halves, so 2 x rank is an integer, and
+    the null of the doubled rank sum is the convolution of the datasets'
+    value counts (the shift algorithm of Streitberg & Roehmel, 1986),
+    kept in Python integers over the M**D equally likely outcomes.
+    """
+    ranks = np.asarray(ranks, dtype=float)
+    n_models, n_datasets = ranks.shape
+    twice = np.rint(2 * ranks).astype(np.int64)
+    assert np.array_equal(twice, 2 * ranks), "ranks must be integers or halves"
+    counts = Counter({0: 1})
+    for column in twice.T:
+        step = Counter(column.tolist())
+        convolved = Counter()
+        for total, ways in counts.items():
+            for value, times in step.items():
+                convolved[total + value] += ways * times
+        counts = convolved
+    observed = int(twice[model].sum())
+    at_most = sum(ways for total, ways in counts.items() if total <= observed)
+    return Fraction(at_most, n_models**n_datasets)

@@ -72,6 +72,22 @@ class TestLeaderboardCommand:
         assert lines[0] == "Rank,Model,p-value,Observed,AverageRank"
         assert lines[1].startswith("1,model_00,")
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity (Linux)")
+    def test_output_does_not_depend_on_cpu_count(self, tmp_path):
+        # 20 models at nsim 20,000 give several chunks, which run on one
+        # thread per usable CPU.
+        runs = synth_runs(tmp_path, models=20, datasets=12, folds=2)
+        one_cpu = min(os.sched_getaffinity(0))
+        outputs = []
+        for name, pin in (("one", lambda: os.sched_setaffinity(0, {one_cpu})), ("all", None)):
+            out = tmp_path / f"lb_{name}.csv"
+            subprocess.run([sys.executable, "-m", "probeval.cli", "leaderboard", "--runs", str(runs),
+                            "--metric", "crps", "--nsim", "20000", "--seed", "3", "--wide",
+                            "--out", str(out)],
+                           env=child_env(), preexec_fn=pin, capture_output=True, check=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_seed_required(self, tmp_path, capsys):
         runs = synth_runs(tmp_path)
         code = run_cli("leaderboard", "--runs", runs, "--metric", "crps",
@@ -218,23 +234,30 @@ class TestScoreCommand:
         ] * 3
 
 
-def scipy_modules_after(code: str, tmp_path) -> list[str]:
-    """The scipy modules loaded by a fresh interpreter after running ``code``."""
+def child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+
+
+def modules_after(code: str, tmp_path, package: str = "scipy") -> list[str]:
+    """The modules of ``package`` loaded by a fresh interpreter after running ``code``."""
     script = code + (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r}))))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
 class TestStartup:
-    """scipy is loaded only by wCRPS's Gaussian weights, never at start-up."""
+    """scipy is loaded only by wCRPS's Gaussian weights, and the thread pool
+    only by the permutation null, never at start-up."""
 
     def test_import_loads_no_scipy(self, tmp_path):
-        assert scipy_modules_after("import probeval, probeval.cli", tmp_path) == []
+        assert modules_after("import probeval, probeval.cli", tmp_path) == []
+
+    def test_import_loads_no_thread_pool(self, tmp_path):
+        assert modules_after("import probeval, probeval.cli", tmp_path, "concurrent.futures") == []
 
     def test_score_and_leaderboard_load_no_scipy(self, tmp_path):
         runs = synth_runs(tmp_path)
@@ -245,7 +268,7 @@ assert main(["score", "--forecasts", {str(DATA / "scores_corpus.jsonl")!r},
 assert main(["leaderboard", "--runs", {str(runs)!r}, "--metric", "crps",
              "--nsim", "50", "--seed", "1", "--out", "lb.csv"]) == 0
 """
-        assert scipy_modules_after(code, tmp_path) == []
+        assert modules_after(code, tmp_path) == []
 
     def test_gaussian_wcrps_loads_scipy_special(self, tmp_path):
         code = f"""
@@ -253,7 +276,7 @@ from probeval.cli import main
 assert main(["score", "--forecasts", {str(DATA / "scores_corpus.jsonl")!r},
              "--metrics", "wcrps_left", "--out", "s.csv"]) == 0
 """
-        assert "scipy.special" in scipy_modules_after(code, tmp_path)
+        assert "scipy.special" in modules_after(code, tmp_path)
 
 
 class TestValidateCommand:

@@ -1,4 +1,7 @@
 import itertools
+import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+import oracle
+from probeval import ranking, rng
 from probeval import (
     HIGHER_BETTER,
     LOWER_BETTER,
@@ -215,6 +220,98 @@ class TestPermutationNull:
             np.testing.assert_array_equal(
                 permutation_null(ranks, nsim=500, seed=4, chunk_size=chunk), full
             )
+
+    def test_no_datasets_is_an_error(self):
+        with pytest.raises(ValueError, match="dataset"):
+            permutation_null(np.empty((3, 0)), 5, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_argsort_oracle_byte_for_byte(self, data):
+        # Models on both sides of a power of two change the packed key's
+        # index width: 0, 1, 4, 5 and 6 bits.
+        models = data.draw(st.one_of(st.sampled_from([1, 2, 16, 17, 32, 33]), st.integers(1, 40)))
+        datasets = data.draw(st.integers(1, 6))
+        nsim = data.draw(st.integers(1, 300))
+        chunk = data.draw(st.one_of(st.none(), st.integers(1, nsim + 5)))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        # Few distinct scores make tied ranks common.
+        values = np.array(data.draw(st.lists(st.integers(0, 3), min_size=models * datasets,
+                                             max_size=models * datasets)), dtype=float)
+        values = values.reshape(models, datasets)
+        if data.draw(st.booleans()):
+            values[:, data.draw(st.integers(0, datasets - 1))] = np.nan
+        matrix = ScoreMatrix(tuple(f"m{m}" for m in range(models)),
+                             tuple(f"d{d}" for d in range(datasets)), values, LOWER_BETTER)
+        ranks = rank_transform(matrix)
+        got = permutation_null(ranks, nsim=nsim, seed=seed, chunk_size=chunk)
+        want = oracle.permutation_null(ranks, nsim=nsim, seed=seed, chunk_size=chunk)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_more_threads_than_cpus_give_the_same_bytes(self, monkeypatch):
+        # Eight threads share ``out`` on however few CPUs there are, and a
+        # short switch interval makes them interleave often.
+        monkeypatch.setattr(ranking, "_usable_cpus", lambda: 8)
+        ranks = rank_transform(ScoreMatrix(tuple("abcdefg"), tuple(f"d{i}" for i in range(5)),
+                                           np.random.default_rng(3).normal(size=(7, 5)),
+                                           LOWER_BETTER))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = permutation_null(ranks, nsim=3000, seed=8, chunk_size=37)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == oracle.permutation_null(ranks, nsim=3000, seed=8).tobytes()
+
+    def test_rows_whose_keys_agree_above_the_low_bits_fall_back_to_argsort(self, monkeypatch):
+        real_hash = rng.counter_hash
+
+        def colliding_hash(seed, *streams):
+            # In odd simulations every key of a row shares its high bits, and
+            # the 3 low bits of six slots hold (3 * slot + sim) % 4, which
+            # repeats: only a stable argsort of the full keys orders the row.
+            keys = real_hash(seed, *streams)
+            sims, slots = streams[-2], streams[-1]
+            odd = (sims % 2 == 1)[:, 0]
+            low = (slots * np.uint64(3) + sims[odd]) % np.uint64(4)
+            keys[odd] = (keys[odd, :1] & ~np.uint64(7)) | low
+            return keys
+
+        monkeypatch.setattr(rng, "counter_hash", colliding_hash)
+        ranks = np.tile(np.arange(1.0, 7.0)[:, None], (1, 3))
+        got = permutation_null(ranks, nsim=40, seed=5, chunk_size=7)
+        want = oracle.permutation_null(ranks, nsim=40, seed=5)
+        assert got.tobytes() == want.tobytes()
+        # Sorting the packed keys alone would keep every odd row in slot
+        # order, where each model keeps its own rank.
+        assert not (got[1::2] == ranks[:, 0]).all(axis=1).any()
+
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(11).normal(size=(4, 6)),
+        np.random.default_rng(12).normal(size=(5, 8)) + np.linspace(-2.0, 0.0, 5)[:, None],
+        np.random.default_rng(13).integers(0, 3, size=(5, 7)).astype(float),
+        np.random.default_rng(14).integers(0, 2, size=(3, 9)).astype(float),
+    ], ids=["4x6", "5x8-dominant", "5x7-ties", "3x9-ties"])
+    def test_monte_carlo_p_is_within_5_sigma_of_the_exact_p(self, values):
+        matrix = ScoreMatrix(tuple(f"m{m}" for m in range(values.shape[0])),
+                             tuple(f"d{d}" for d in range(values.shape[1])), values, LOWER_BETTER)
+        ranks = rank_transform(matrix)
+        avg_ranks, _ = observed_statistics(ranks, matrix)
+        nsim = 20_000
+        null = permutation_null(ranks, nsim=nsim, seed=21)
+        for m in range(ranks.shape[0]):
+            exact = float(oracle.exact_p(ranks, m))
+            got = empirical_p(avg_ranks[m], null[:, m])
+            # The pseudo-count moves p by at most 1 / (nsim + 1).
+            bound = 5 * math.sqrt(exact * (1 - exact) / nsim) + 1 / (nsim + 1)
+            assert abs(got - exact) <= bound, (m, got, exact)
+
+    def test_exact_p_matches_enumeration(self):
+        ranks = np.array([[1.0, 1.5, 2.0], [2.0, 1.5, 1.0], [3.0, 3.0, 3.0]])
+        outcomes = list(itertools.product(*(ranks[:, d] for d in range(3))))
+        for m in range(3):
+            at_most = sum(sum(o) <= ranks[m].sum() for o in outcomes)
+            assert oracle.exact_p(ranks, m) == Fraction(at_most, len(outcomes))
 
 
 class TestEmpiricalP:
