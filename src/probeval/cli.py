@@ -58,7 +58,7 @@ def _resolve_cli_metrics(names: list[str], args) -> list[scoring.MetricSpec]:
             )
         else:
             spec = scoring.resolve_metric(name)
-            if name.startswith("wcrps") and args.weight_ref is not None:
+            if spec.weight_kind is not None and args.weight_ref is not None:
                 spec = replace(
                     spec, weight_loc=args.weight_ref[0], weight_scale=args.weight_ref[1]
                 )
@@ -126,14 +126,13 @@ def cmd_synth(args) -> int:
 def cmd_validate(args) -> int:
     if args.forecasts:
         n, repaired, violations = io.validate_forecast_file(args.forecasts)
-        for v in violations:
-            print(f"line {v.line}: {v.message}")
-        print(f"{n} record(s), {repaired} quantile record(s) repaired, {len(violations)} violations")
+        summary = f"{n} record(s), {repaired} quantile record(s) repaired"
     else:
         n, violations = io.validate_run_file(args.runs)
-        for v in violations:
-            print(f"line {v.line}: {v.message}")
-        print(f"{n} row(s), {len(violations)} violations")
+        summary = f"{n} row(s)"
+    for v in violations:
+        print(f"line {v.line}: {v.message}")
+    print(f"{summary}, {len(violations)} violations")
     return 1 if violations else 0
 
 

@@ -54,12 +54,6 @@ def dispersion(forecasts: Iterable[DiscreteForecast]) -> float:
     return dispersion_kernel(_pack(forecasts), None, None)
 
 
-def in_central_interval(f: DiscreteForecast, y: float, level: float) -> bool:
-    """Whether y falls inside the central ``level`` interval, bounds inclusive."""
-    spec = _coverage_spec(level)
-    return bool(coverage_kernel(ForecastBatch.of(f), np.array([y], dtype=float), spec)[0])
-
-
 def coverage(batch: Sequence[tuple[DiscreteForecast, float]], level: float) -> float:
     """Empirical coverage of the central ``level`` prediction intervals.
 

@@ -415,7 +415,9 @@ class ForecastBatch:
         return self.offsets[1:] - self.offsets[:-1]
 
     def record(self, i: int) -> DiscreteForecast:
-        """Record i as a :class:`DiscreteForecast` sharing this batch's arrays."""
+        """Record i as a :class:`DiscreteForecast` sharing this batch's arrays.
+
+        The view has no source forecast, so no histogram form either."""
         start, stop = self.offsets[i], self.offsets[i + 1]
         offsets = np.array([0, stop - start])
         sub = object.__new__(ForecastBatch)
@@ -425,7 +427,6 @@ class ForecastBatch:
             ("offsets", offsets),
             ("cdf", self.cdf[start:stop]),
             ("by_size", _SizeGroups(offsets)),
-            ("sources", self.sources[i : i + 1]),
         ):
             object.__setattr__(sub, name, value)
         f = object.__new__(DiscreteForecast)
@@ -461,12 +462,14 @@ class ForecastBatch:
     def histograms(self) -> HistogramBatch:
         """Histogram form of every record (see :class:`HistogramBatch`).
 
-        Built on first use from the forecasts the batch was packed from;
-        converting quantile records issues one :class:`ConversionWarning`.
+        Built on first use from the forecasts the batch was packed from; a
+        record without one (a batch built from point masses, or a record
+        view) has no bins.  Converting quantile records issues one
+        :class:`ConversionWarning`.
         """
         hists = self.__dict__.get("_histograms")
         if hists is None:
-            hists = HistogramBatch.from_forecasts(self.sources)
+            hists = HistogramBatch.from_forecasts(self.sources or (None,) * self.n)
             self.__dict__["_histograms"] = hists
             if hists.converted:
                 warnings.warn(
@@ -552,37 +555,38 @@ def _scatter_index(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - _offsets(sizes)[:-1], sizes) + np.arange(sizes.sum())
 
 
+def _merge_equal(values: np.ndarray, probs: np.ndarray, offsets: np.ndarray):
+    """(points, masses, support sizes), each run of equal values in a record
+    merged into one point with the run's total mass; zero totals are dropped."""
+    new = _run_starts(values, offsets)
+    merged = np.bincount(np.cumsum(new) - 1, weights=probs)
+    keep = merged > 0
+    rec = _record_ids(offsets)[new][keep]
+    return values[new][keep], merged[keep], np.bincount(rec, minlength=offsets.size - 1)
+
+
 def _histogram_masses(hists: list[HistogramForecast]):
     edges = np.concatenate([h.edges for h in hists])
     probs = np.concatenate([h.probs for h in hists])
-    rec = np.repeat(np.arange(len(hists)), [h.probs.size for h in hists])
-    # Bin b of record r is bounded by flat edges b + r and b + r + 1.
-    left = np.arange(probs.size) + rec
-    centers = 0.5 * (edges[left] + edges[left + 1])
-    keep = probs > 0
-    return centers[keep], probs[keep], np.bincount(rec[keep], minlength=len(hists))
+    offsets = _offsets([h.probs.size for h in hists])
+    # Bin b of record r is bounded by flat edges b + r and b + r + 1.  Halving
+    # each edge first cannot overflow; the bins of equal centers merge.
+    left = np.arange(probs.size) + _record_ids(offsets)
+    return _merge_equal(0.5 * edges[left] + 0.5 * edges[left + 1], probs, offsets)
 
 
 def _quantile_masses(quants: list[QuantileForecast]):
     levels = np.concatenate([q.levels for q in quants])
     values = np.concatenate([q.values for q in quants])
     offsets = _offsets([q.levels.size for q in quants])
-    rec = _record_ids(offsets)
     # Each value carries the mass between the midpoints to its neighbors;
     # the outer values run to 0 and 1.
     mids = 0.5 * (levels[:-1] + levels[1:])
-    first = np.zeros(levels.size, dtype=bool)
-    first[offsets[:-1]] = True
-    last = np.zeros(levels.size, dtype=bool)
-    last[offsets[1:] - 1] = True
-    upper = np.ones(levels.size)
-    upper[~last] = mids[np.flatnonzero(~last)]
-    lower = np.zeros(levels.size)
-    lower[~first] = mids[np.flatnonzero(~first) - 1]
-    probs = upper - lower
-    new = _run_starts(values, offsets)
-    merged = np.bincount(np.cumsum(new) - 1, weights=probs)
-    return values[new], merged, np.bincount(rec[new], minlength=len(quants))
+    upper = np.append(mids, 1.0)
+    upper[offsets[1:] - 1] = 1.0
+    lower = np.insert(mids, 0, 0.0)
+    lower[offsets[:-1]] = 0.0
+    return _merge_equal(values, upper - lower, offsets)
 
 
 def _sample_masses(samples: list[SampleForecast]):
@@ -591,9 +595,7 @@ def _sample_masses(samples: list[SampleForecast]):
     rec = _record_ids(offsets)
     values = values[np.lexsort((values, rec))]
     new = _run_starts(values, offsets)
-    starts = np.flatnonzero(new)
-    counts = np.diff(np.append(starts, values.size))
-    probs = counts / np.diff(offsets)[rec[new]]
+    probs = np.bincount(np.cumsum(new) - 1) / np.diff(offsets)[rec[new]]
     return values[new], probs, np.bincount(rec[new], minlength=len(samples))
 
 
@@ -621,23 +623,18 @@ def _spread_equal_runs(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     finite without shifting their location.
     """
     edges = np.array(values, dtype=float)
-    boundary = offsets[1:-1] - 1  # step from a record's last value to the next record's first
-    tied = edges[1:] == edges[:-1]
-    tied[boundary] = False
-    pairs = np.flatnonzero(tied)
-    if pairs.size:
-        opens = np.ones(pairs.size, dtype=bool)
-        opens[1:] = pairs[1:] != pairs[:-1] + 1
-        first = pairs[opens]
-        size = np.diff(np.append(np.flatnonzero(opens), pairs.size)) + 1
-        step = np.arange(size.sum()) - np.repeat(_offsets(size)[:-1], size)
-        at = np.repeat(first, size) + step
-        v = edges[at]
-        eps = np.maximum(1e-9, 1e-9 * np.abs(v))
-        edges[at] = v + eps * (step - np.repeat((size - 1) / 2, size))
+    new = _run_starts(edges, offsets)
+    size = np.bincount(np.cumsum(new) - 1)
+    first = np.flatnonzero(new)[size > 1]
+    size = size[size > 1]
+    step = np.arange(size.sum()) - np.repeat(_offsets(size)[:-1], size)
+    at = np.repeat(first, size) + step
+    v = edges[at]
+    eps = np.maximum(1e-9, 1e-9 * np.abs(v))
+    edges[at] = v + eps * (step - np.repeat((size - 1) / 2, size))
     # Guard for pathological near-ties after spreading, record by record.
     steps = edges[1:] - edges[:-1]
-    steps[boundary] = np.inf
+    steps[offsets[1:-1] - 1] = np.inf  # no order across records
     for r in np.unique(np.searchsorted(offsets, np.flatnonzero(steps <= 0), side="right") - 1):
         for k in range(offsets[r] + 1, offsets[r + 1]):
             if edges[k] <= edges[k - 1]:
@@ -650,10 +647,7 @@ def _quantile_bins(quants: list[QuantileForecast]):
     offsets = _offsets([q.values.size for q in quants])
     edges = _spread_equal_runs(np.concatenate([q.values for q in quants]), offsets)
     levels = np.concatenate([q.levels for q in quants])
-    gaps = np.diff(levels)
-    within = np.ones(gaps.size, dtype=bool)
-    within[offsets[1:-1] - 1] = False
-    return edges, gaps[within], np.diff(offsets) - 1
+    return edges, np.delete(np.diff(levels), offsets[1:-1] - 1), np.diff(offsets) - 1
 
 
 def histogram_to_discrete(h: HistogramForecast) -> DiscreteForecast:

@@ -112,16 +112,17 @@ def aggregate_folds(records: Iterable[RunRecord], metric: str | MetricSpec) -> S
     for r in rows:
         folds[(r.model, r.dataset)].append(r.value)
 
-    datasets = sorted({r.dataset for r in rows})
-    complete = [d for d in datasets if all((m, d) in folds for m in models)]
-    for d in datasets:
-        if d not in complete:
-            missing = [m for m in models if (m, d) not in folds]
+    complete = []
+    for d in sorted({r.dataset for r in rows}):
+        missing = [m for m in models if (m, d) not in folds]
+        if missing:
             warnings.warn(
                 f"dataset {d!r} dropped: no runs for {', '.join(missing)}",
                 DroppedDatasetWarning,
                 stacklevel=2,
             )
+        else:
+            complete.append(d)
     if not complete:
         raise NotComparableError(f"no dataset has runs for every model on metric {metric!r}")
 
@@ -167,27 +168,19 @@ def rank_transform(matrix: ScoreMatrix) -> np.ndarray:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based average ranks down each column of ``x``, all columns at once.
+    """1-based average ranks down each column of ``x``.
 
-    Each column is sorted (stably) as one row of ``x.T``; a tie run at
-    sorted positions start..end-1 takes the rank (start + end + 1) / 2 at
-    every position.  Ranks are small integers or halves, so they are
-    exact, and a column holding a NaN comes out all-NaN; the result equals
-    ``scipy.stats.rankdata(x, method="average", axis=0)`` bit for bit.
+    A value's rank is the mean of its first and last 1-based positions
+    in its sorted column, (left + right + 1) / 2 with ``left`` and
+    ``right`` its searchsorted positions.  Ranks are small integers or
+    halves, so they are exact, and a column holding a NaN comes out
+    all-NaN; the result equals ``scipy.stats.rankdata(x, method="average",
+    axis=0)`` bit for bit.
     """
     cols = np.asarray(x, dtype=float).T
-    n = cols.shape[1]
-    order = np.argsort(cols, axis=1, kind="stable")
-    ordered = np.take_along_axis(cols, order, axis=1)
-    opens = np.ones(cols.shape, dtype=bool)
-    opens[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    # Every column opens a run at its first position, so no run spans two.
-    first = np.flatnonzero(opens)
-    counts = np.diff(first, append=opens.size)
-    start = first % max(n, 1)  # position within the column
-    run_ranks = (start + (start + counts) + 1) / 2
     ranks = np.empty(cols.shape)
-    np.put_along_axis(ranks, order, np.repeat(run_ranks, counts).reshape(cols.shape), axis=1)
+    for col, ordered, out in zip(cols, np.sort(cols, axis=1), ranks):
+        out[:] = (ordered.searchsorted(col, "left") + ordered.searchsorted(col, "right") + 1) / 2
     ranks[np.isnan(cols).any(axis=1)] = np.nan
     return ranks.T
 
@@ -212,8 +205,8 @@ def permutation_null(
     counter-based substream of ``seed``, so the (nsim, models) result is
     the same for any ``chunk_size`` and any parallel split.  Simulations
     are taken ``chunk_size`` rows at a time (by default as many as fit in
-    ``NULL_ELEMENTS`` rank cells), and the chunks run on one thread per
-    CPU the process may use.
+    ``NULL_ELEMENTS`` rank cells), and the chunks run on a thread pool of
+    one thread per CPU the process may use, or per chunk if fewer.
     """
     ranks = np.asarray(ranks, dtype=float)
     n_models, n_datasets = ranks.shape
@@ -240,16 +233,11 @@ def permutation_null(
             sums += column[_stable_order(keys)]
         sums /= n_datasets
 
-    starts = range(0, nsim, chunk)
-    workers = min(len(starts), _usable_cpus())
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for lo in starts:
-            fill(lo)
+    starts = range(0, nsim, chunk)
+    with ThreadPoolExecutor(min(len(starts), _usable_cpus())) as pool:
+        list(pool.map(fill, starts))
     return out
 
 

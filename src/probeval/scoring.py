@@ -23,7 +23,10 @@ the scalar functions (``crps(f, y)`` and so on) run the same kernel on a
 one-record batch.  Kernels gather records of equal support size (or bin
 count) as rows and work row-wise, in chunks whose temporaries stay within
 ``forecast.BLOCK_ELEMENTS`` elements whatever the batch size.  Per-record
-sums add left to right, so a record scores the same in any batch.
+sums add left to right, so no score depends on where the chunks fall, and
+a record scores the same in any batch except under the energy score: its
+pair sums are taken in slabs whose height depends on how many records of
+the batch share the record's support size, which can move last bits.
 """
 
 from __future__ import annotations

@@ -141,14 +141,9 @@ def _embed_as_histogram(f: DiscreteForecast) -> HistogramForecast:
     else:
         gaps = np.diff(pts)
         half = np.minimum(np.concatenate(([gaps[0]], gaps)), np.concatenate((gaps, [gaps[-1]]))) / 4.0
-    edges = [float(pts[0] - half[0])]
-    probs: list[float] = []
-    for j in range(pts.size):
-        if j > 0:
-            probs.append(0.0)
-            edges.append(float(pts[j] - half[j]))
-        edges.append(float(pts[j] + half[j]))
-        probs.append(float(f.probs[j]))
+    edges = np.column_stack((pts - half, pts + half)).ravel()
+    probs = np.zeros(2 * pts.size - 1)
+    probs[::2] = f.probs
     return HistogramForecast(edges, probs)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -331,3 +332,33 @@ class TestValidateCommand:
         path.write_text("model,dataset,fold,metric,value\na,x,0,crps,1.0\n", encoding="utf-8")
         assert run_cli("validate", "--runs", path) == 0
         assert "0 violations" in capsys.readouterr().out
+
+
+# Records that the parser and validate accept, at the limits of float
+# arithmetic: a bin whose edges sum past the largest float, one-ulp bins
+# whose centers coincide, and quantile levels whose midpoints coincide.
+LIMIT_RECORDS = [
+    {"id": "a", "target": 1.5e308, "type": "histogram", "edges": [1e308, 1.7e308],
+     "probs": [1.0]},
+    {"id": "b", "target": 1.0, "type": "histogram",
+     "edges": [1.0, 1.0000000000000002, 1.0000000000000004, 1.0000000000000007],
+     "probs": [0.25, 0.25, 0.5]},
+    {"id": "c", "target": 1.0, "type": "quantiles",
+     "levels": [0.5, 0.5000000000000001, 0.5000000000000002, 0.5000000000000003],
+     "values": [0, 1, 2, 3]},
+]
+
+
+class TestRecordsAtFloatLimits:
+    @pytest.mark.parametrize("record", LIMIT_RECORDS, ids=lambda r: r["id"])
+    def test_validated_record_scores(self, tmp_path, record, recwarn):
+        path = tmp_path / "fc.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert run_cli("validate", "--forecasts", path) == 0
+        out = tmp_path / "scores.csv"
+        metrics = "crps,crls,energy_score_beta_1.0,log_score,brier_score,mae,coverage_90"
+        assert run_cli("score", "--forecasts", path, "--metrics", metrics, "--out", out) == 0
+        header, row = out.read_text(encoding="utf-8").splitlines()[:2]
+        scores = dict(zip(header.split(","), row.split(",")))
+        assert math.isclose(float(scores["crps"]), float(scores["energy_score_beta_1.0"]),
+                            rel_tol=1e-9)

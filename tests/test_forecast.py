@@ -4,12 +4,14 @@ import pytest
 from conftest import random_discrete
 from probeval import (
     DiscreteForecast,
+    ForecastBatch,
     HistogramForecast,
     QuantileForecast,
     SampleForecast,
     histogram_to_discrete,
     quantiles_to_discrete,
     quantiles_to_histogram,
+    resolve_metric,
     samples_to_discrete,
     to_discrete,
     to_histogram,
@@ -239,3 +241,47 @@ class TestDispatchers:
             to_histogram(SampleForecast([1.0]))
         with pytest.raises(NotConvertibleError):
             to_histogram(DiscreteForecast([1.0], [1.0]))
+
+
+class TestConversionAtFloatLimits:
+    # Each of these records is accepted by its constructor; the point-mass
+    # conversion used to fail on all three.
+    def test_bin_center_of_huge_edges_does_not_overflow(self):
+        d = to_discrete(HistogramForecast([1e308, 1.7e308], [1.0]))
+        assert d.points.tolist() == [1.35e308]
+        assert d.probs.tolist() == [1.0]
+
+    def test_bins_with_equal_centers_merge(self):
+        # The centers of these one-ulp bins are 1, 1 + 2**-51 and 1 + 2**-51.
+        edges = [1.0, 1.0000000000000002, 1.0000000000000004, 1.0000000000000007]
+        d = to_discrete(HistogramForecast(edges, [0.25, 0.25, 0.5]))
+        assert d.points.tolist() == [1.0, 1.0000000000000004]
+        assert d.probs.tolist() == [0.25, 0.75]
+
+    def test_quantile_values_without_mass_are_dropped(self):
+        # The midpoints around the value 2.0 coincide, so it carries no mass.
+        levels = [0.5, 0.5000000000000001, 0.5000000000000002, 0.5000000000000003]
+        d = to_discrete(QuantileForecast(levels, [0.0, 1.0, 2.0, 3.0]))
+        assert d.points.tolist() == [0.0, 1.0, 3.0]
+        assert np.all(d.probs > 0)
+        assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+class TestHistogramForm:
+    log_score = resolve_metric("log_score")
+
+    def test_batch_without_sources_has_one_empty_histogram_per_record(self):
+        batch = ForecastBatch([0.0, 1.0, 0.0, 2.0, 3.0], [0.5, 0.5, 0.2, 0.3, 0.5], [0, 2, 5])
+        assert batch.histograms().offsets.tolist() == [0, 0, 0]
+        got = self.log_score.kernel(batch, np.array([0.5, 1.0]), self.log_score)
+        assert got.shape == (2,)
+        assert np.isnan(got).all()
+
+    def test_record_view_has_no_histogram_form(self):
+        h = HistogramForecast([0.0, 1.0, 2.0], [0.3, 0.7])
+        view = ForecastBatch.from_forecasts([h, h]).record(1)
+        for d in (view, to_discrete(h)):
+            assert d.batch.histograms().offsets.tolist() == [0, 0]
+            assert np.isnan(self.log_score.kernel(d.batch, np.array([0.5]), self.log_score)).all()
+            with pytest.raises(NotConvertibleError):
+                to_histogram(d)

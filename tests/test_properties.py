@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,3 +205,37 @@ def test_energy_slabs_of_every_size():
             scale = oracle.energy_scale(p, q, y, beta)
             assert close(got[i], oracle.energy(p, q, y, beta), scale)
             assert close(energy_score(batch.record(i), y, beta), got[i], scale)
+
+
+@PROPERTY_SETTINGS
+@given(batches, st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10))
+def test_a_record_scores_the_same_alone_and_in_its_batch(pairs, where):
+    # The energy score is left out: the slab height of its pair sums
+    # depends on how many records of the batch share a support size, which
+    # moves last bits.  wCRPS gets an explicit reference, since the default
+    # one is taken from all targets of the batch.
+    forecasts = [f for f, _ in pairs]
+    batch = ForecastBatch.from_forecasts(forecasts)
+    alone = [ForecastBatch.from_forecasts([f]) for f in forecasts]
+    targets = np.array([y for _, y in pairs])
+    # The Brier score needs observations inside the grid, so it gets its
+    # own, placed between each record's outer values.
+    inside = []
+    for f, u in zip(forecasts, where):
+        points, _ = oracle.discrete(f)
+        inside.append(points[0] + u * (points[-1] - points[0]))
+    inside = np.array(inside)
+    for name in METRIC_NAMES:
+        if name.startswith("energy_score"):
+            continue
+        spec = resolve_metric(name)
+        if spec.weight_kind is not None:
+            spec = replace(spec, weight_loc=0.3, weight_scale=1.7)
+        y = inside if name == "brier_score" else targets
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            whole = spec.kernel(batch, y, spec)
+            if not isinstance(whole, np.ndarray):
+                continue  # a batch-level metric
+            for i, one in enumerate(alone):
+                assert spec.kernel(one, y[i : i + 1], spec).tobytes() == whole[i : i + 1].tobytes(), (name, i)
