@@ -276,14 +276,6 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=1)[:, -1] + 0.0
 
 
-def _segment_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-record totals, equal to ``x[record].sum()`` for every record."""
-    out = np.zeros(offsets.size - 1)
-    for rows, cols in _SizeGroups(offsets).chunks():
-        out[rows] = x[cols].sum(axis=1)
-    return out
-
-
 def _bin_index(edges: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(bin index, inside) of observations ``y`` (a column) in rows of ``edges``.
 
@@ -374,24 +366,7 @@ class ForecastBatch:
         exactly what the one-record conversion gives.
         """
         forecasts = tuple(forecasts)
-        by_form: dict[type, list[int]] = {}
-        for i, f in enumerate(forecasts):
-            by_form.setdefault(_form_of(f), []).append(i)
-        lengths = np.zeros(len(forecasts), dtype=np.intp)
-        parts = []
-        for form, rows in by_form.items():
-            points, probs, sizes = _TO_MASSES[form]([forecasts[i] for i in rows])
-            lengths[rows] = sizes
-            parts.append((rows, points, probs, sizes))
-        offsets = _offsets(lengths)
-        points = np.empty(offsets[-1])
-        probs = np.empty(offsets[-1])
-        while parts:
-            rows, part_points, part_probs, sizes = parts.pop()
-            dest = _scatter_index(offsets[rows], sizes)
-            points[dest] = part_points
-            probs[dest] = part_probs
-            del part_points, part_probs, dest
+        points, probs, offsets = _gather(forecasts, _TO_MASSES)
         batch = object.__new__(cls)
         batch._pack(points, probs, offsets)
         object.__setattr__(batch, "sources", forecasts)
@@ -469,7 +444,8 @@ class ForecastBatch:
         """
         hists = self.__dict__.get("_histograms")
         if hists is None:
-            hists = HistogramBatch.from_forecasts(self.sources or (None,) * self.n)
+            hists = (HistogramBatch.from_forecasts(self.sources) if self.sources else
+                     HistogramBatch(np.empty(0), np.empty(0), np.zeros(self.n + 1, np.intp)))
             self.__dict__["_histograms"] = hists
             if hists.converted:
                 warnings.warn(
@@ -485,61 +461,37 @@ class ForecastBatch:
 class HistogramBatch:
     """Histogram form of many records, packed in CSR layout.
 
-    Record r has bin masses ``probs[offsets[r]:offsets[r+1]]`` and bin
-    edges ``edges[edge_offsets[r]:edge_offsets[r+1]]``.  Records with no
-    density (samples, point masses, single-level quantiles) have no bins.
-    ``converted`` counts the quantile records converted to histograms;
-    ``by_bins`` groups the records by edge count.
+    Record r has bin edges ``edges[offsets[r]:offsets[r+1]]``; ``probs``
+    holds each bin's mass at the position of its left edge and 0.0 at the
+    last edge.  Records with no density (samples, point masses,
+    single-level quantiles) have no edges.  ``converted`` counts the
+    quantile records converted to histograms; ``by_bins`` groups the
+    records by edge count.
     """
 
     edges: np.ndarray
     probs: np.ndarray
     offsets: np.ndarray
-    edge_offsets: np.ndarray
     converted: int = 0
     by_bins: _SizeGroups = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "by_bins", _SizeGroups(self.edge_offsets))
+        object.__setattr__(self, "by_bins", _SizeGroups(self.offsets))
 
     @classmethod
     def from_forecasts(cls, forecasts: Iterable[Forecast]) -> HistogramBatch:
         """Histograms as they are; quantiles through their level gaps."""
         forecasts = tuple(forecasts)
-        hist_rows = [i for i, f in enumerate(forecasts) if isinstance(f, HistogramForecast)]
-        quant_rows = [
-            i for i, f in enumerate(forecasts)
-            if isinstance(f, QuantileForecast) and f.levels.size >= 2
-        ]
-        bins = np.zeros(len(forecasts), dtype=np.intp)
-        bins[hist_rows] = [forecasts[i].probs.size for i in hist_rows]
-        bins[quant_rows] = [forecasts[i].levels.size - 1 for i in quant_rows]
-        offsets = _offsets(bins)
-        edge_offsets = _offsets(bins + (bins > 0))
-        edges = np.empty(edge_offsets[-1])
-        probs = np.empty(offsets[-1])
-
-        def place(rows, part_edges, part_probs):
-            probs[_scatter_index(offsets[rows], bins[rows])] = part_probs
-            edges[_scatter_index(edge_offsets[rows], bins[rows] + 1)] = part_edges
-
-        if hist_rows:
-            hists = [forecasts[i] for i in hist_rows]
-            place(hist_rows, np.concatenate([h.edges for h in hists]),
-                  np.concatenate([h.probs for h in hists]))
-        if quant_rows:
-            part_edges, masses, sizes = _quantile_bins([forecasts[i] for i in quant_rows])
-            masses /= np.repeat(_segment_sums(masses, _offsets(sizes)), sizes)
-            place(quant_rows, part_edges, masses)
-        return cls(edges, probs, offsets, edge_offsets, converted=len(quant_rows))
+        edges, probs, offsets = _gather(forecasts, _TO_BINS)
+        converted = sum(isinstance(f, QuantileForecast) and f.levels.size > 1 for f in forecasts)
+        return cls(edges, probs, offsets, converted=converted)
 
     def groups(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(record indices, bin masses, bin edges) of the records of each bin
-        count, as rows, in chunks within BLOCK_ELEMENTS; records without a
-        histogram are skipped."""
-        for rows, edge_cols in self.by_bins.chunks():
-            bins = self.offsets[rows, None] + np.arange(edge_cols.shape[1] - 1)
-            yield rows, self.probs[bins], self.edges[edge_cols]
+        """(record indices, masses, edges) of the records of each edge count,
+        as rows, in chunks within BLOCK_ELEMENTS; records without a
+        histogram are skipped.  A row's last mass is the 0.0 of its last edge."""
+        for rows, cols in self.by_bins.chunks():
+            yield rows, self.probs[cols], self.edges[cols]
 
 
 def _form_of(forecast) -> type:
@@ -549,10 +501,33 @@ def _form_of(forecast) -> type:
     raise TypeError(f"not a forecast: {type(forecast).__name__}")
 
 
-def _scatter_index(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Flat destination of consecutive segments of ``sizes`` placed at ``starts``."""
-    sizes = np.asarray(sizes, dtype=np.intp)
-    return np.repeat(starts - _offsets(sizes)[:-1], sizes) + np.arange(sizes.sum())
+def _gather(forecasts: tuple, table: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, masses, offsets) of ``forecasts`` packed in CSR layout.
+
+    The records of each form are converted in bulk by that form's entry of
+    ``table``, which returns flat values, flat masses and one size per
+    record; a form without an entry gives empty records.
+    """
+    by_form: dict[type, list[int]] = {}
+    for i, f in enumerate(forecasts):
+        by_form.setdefault(_form_of(f), []).append(i)
+    lengths = np.zeros(len(forecasts), dtype=np.intp)
+    parts = []
+    for form, rows in by_form.items():
+        if form in table:
+            part_values, part_masses, sizes = table[form]([forecasts[i] for i in rows])
+            lengths[rows] = sizes
+            parts.append((rows, part_values, part_masses, sizes))
+    offsets = _offsets(lengths)
+    values = np.empty(offsets[-1])
+    masses = np.empty(offsets[-1])
+    while parts:
+        rows, part_values, part_masses, sizes = parts.pop()
+        dest = np.repeat(offsets[rows] - _offsets(sizes)[:-1], sizes) + np.arange(part_values.size)
+        values[dest] = part_values
+        masses[dest] = part_masses
+        del part_values, part_masses, dest
+    return values, masses, offsets
 
 
 def _merge_equal(values: np.ndarray, probs: np.ndarray, offsets: np.ndarray):
@@ -642,12 +617,31 @@ def _spread_equal_runs(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return edges
 
 
+def _histogram_bins(hists: list[HistogramForecast]):
+    bins = _offsets([h.probs.size for h in hists])
+    probs = np.insert(np.concatenate([h.probs for h in hists]), bins[1:], 0.0)
+    return np.concatenate([h.edges for h in hists]), probs, np.diff(bins) + 1
+
+
 def _quantile_bins(quants: list[QuantileForecast]):
-    """Bin edges (spread quantile values), raw bin masses (level gaps) and bin counts."""
-    offsets = _offsets([q.values.size for q in quants])
-    edges = _spread_equal_runs(np.concatenate([q.values for q in quants]), offsets)
-    levels = np.concatenate([q.levels for q in quants])
-    return edges, np.delete(np.diff(levels), offsets[1:-1] - 1), np.diff(offsets) - 1
+    """Spread quantile values as edges and level gaps over their record's
+    total as bin masses; a record of one level forms no bin."""
+    sizes = np.array([q.levels.size for q in quants], dtype=np.intp)
+    keep = np.repeat(sizes > 1, sizes)
+    sizes[sizes == 1] = 0
+    offsets = _offsets(sizes[sizes > 0])
+    edges = _spread_equal_runs(np.concatenate([q.values for q in quants])[keep], offsets)
+    masses = np.diff(np.concatenate([q.levels for q in quants])[keep], append=0.0)
+    masses[offsets[1:] - 1] = 0.0
+    for _, cols in _SizeGroups(offsets).chunks():
+        masses[cols] /= masses[cols[:, :-1]].sum(axis=1, keepdims=True)
+    return edges, masses, sizes
+
+
+_TO_BINS = {
+    HistogramForecast: _histogram_bins,
+    QuantileForecast: _quantile_bins,
+}
 
 
 def histogram_to_discrete(h: HistogramForecast) -> DiscreteForecast:
@@ -673,8 +667,8 @@ def quantiles_to_histogram(q: QuantileForecast) -> HistogramForecast:
     """
     if q.levels.size < 2:
         raise NotConvertibleError("at least two quantile levels are needed to form bins")
-    edges, masses, _ = _quantile_bins([q])
-    return HistogramForecast(edges, masses)
+    edges = _spread_equal_runs(q.values, np.array([0, q.values.size]))
+    return HistogramForecast(edges, np.diff(q.levels))
 
 
 def samples_to_discrete(s: SampleForecast) -> DiscreteForecast:

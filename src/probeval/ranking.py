@@ -27,7 +27,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ DEFAULT_NSIM = 20_000
 NULL_ELEMENTS = 1 << 16
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One observed metric value: (model, dataset, fold, metric, value)."""
 
     model: str

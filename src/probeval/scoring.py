@@ -20,7 +20,7 @@ antiderivatives (the antiderivative of the normal CDF is z*cdf(z)+pdf(z)).
 Every metric is one batch kernel ``(batch, targets, spec)`` over a
 :class:`ForecastBatch` that returns per-record values or one batch value;
 the scalar functions (``crps(f, y)`` and so on) run the same kernel on a
-one-record batch.  Kernels gather records of equal support size (or bin
+one-record batch.  Kernels gather records of equal support size (or edge
 count) as rows and work row-wise, in chunks whose temporaries stay within
 ``forecast.BLOCK_ELEMENTS`` elements whatever the batch size.  Per-record
 sums add left to right, so no score depends on where the chunks fall, and
@@ -302,8 +302,8 @@ def _brier_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
         out[rows] = _row_sums(probs * probs) - 2.0 * probs[np.arange(rows.size), k] + 1.0
     if outside.any():
         r = int(np.argmax(outside))
-        first = hists.edges[hists.edge_offsets[r]]
-        last = hists.edges[hists.edge_offsets[r + 1] - 1]
+        first = hists.edges[hists.offsets[r]]
+        last = hists.edges[hists.offsets[r + 1] - 1]
         raise OutsideSupportError(
             f"observation {float(targets[r])} outside histogram support"
             f" [{float(first)}, {float(last)}]",

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -21,9 +21,11 @@ from probeval import (
     energy_score,
     resolve_metric,
     score_batch,
+    to_histogram,
 )
 from probeval import forecast as forecast_module
 from probeval.errors import OutsideSupportError, QuantileCrossingWarning
+from probeval.forecast import HistogramBatch
 from probeval.io import ForecastRecord
 
 REL = 1e-12
@@ -76,8 +78,10 @@ forecasts = st.one_of(
 batches = st.lists(st.tuples(forecasts, observation), min_size=1, max_size=10)
 
 
-def close(got, want, scale=0.0):
-    return abs(got - want) <= REL * max(abs(want), scale)
+def close(got, want, scale=0.0, ops=0):
+    """Relative agreement, plus one subnormal unit 2^-1074 for each of
+    ``ops`` rounded operations: results near zero keep few significant bits."""
+    return abs(got - want) <= REL * max(abs(want), scale) + ops * math.ulp(0.0)
 
 
 def kernel_values(name, batch, targets):
@@ -101,6 +105,8 @@ def test_packed_conversion_is_the_per_record_conversion(pairs):
 
 @PROPERTY_SETTINGS
 @given(batches)
+# A support with subnormal spacing: kernel and oracle differ by 2^-1074.
+@example(pairs=[(QuantileForecast([0.01, 0.06], [0.0, 1.43653373e-211]), 0.0)])
 def test_kernels_match_per_record_oracles(pairs):
     batch = ForecastBatch.from_forecasts(f for f, _ in pairs)
     targets = np.array([y for _, y in pairs])
@@ -124,7 +130,10 @@ def test_kernels_match_per_record_oracles(pairs):
         got = kernel_values(f"energy_score_beta_{beta}", batch, targets)
         for g, (p, q), y in zip(got, discretes, targets):
             want = oracle.energy(p, q, y, beta)
-            assert close(g, want, oracle.energy_scale(p, q, y, beta)), beta
+            # Kernel and oracle each round about 5 operations per pair and
+            # 4 per support point, in different orders.
+            ops = 2 * (5 * p.size * p.size + 4 * p.size)
+            assert close(g, want, oracle.energy_scale(p, q, y, beta), ops), beta
 
     for kind in ("left", "right", "center"):
         spec = MetricSpec(f"wcrps_{kind}", weight_kind=kind, weight_loc=loc, weight_scale=scale)
@@ -209,6 +218,8 @@ def test_energy_slabs_of_every_size():
 
 @PROPERTY_SETTINGS
 @given(batches, st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10))
+# points[0] + 1.0 * (points[-1] - points[0]) rounds above points[-1] here.
+@example(pairs=[(QuantileForecast([0.01, 0.02], [-0.25, 1e-9]), 0.0)], where=[1.0] * 10)
 def test_a_record_scores_the_same_alone_and_in_its_batch(pairs, where):
     # The energy score is left out: the slab height of its pair sums
     # depends on how many records of the batch share a support size, which
@@ -223,7 +234,7 @@ def test_a_record_scores_the_same_alone_and_in_its_batch(pairs, where):
     inside = []
     for f, u in zip(forecasts, where):
         points, _ = oracle.discrete(f)
-        inside.append(points[0] + u * (points[-1] - points[0]))
+        inside.append(min(points[0] + u * (points[-1] - points[0]), points[-1]))
     inside = np.array(inside)
     for name in METRIC_NAMES:
         if name.startswith("energy_score"):
@@ -239,3 +250,22 @@ def test_a_record_scores_the_same_alone_and_in_its_batch(pairs, where):
                 continue  # a batch-level metric
             for i, one in enumerate(alone):
                 assert spec.kernel(one, y[i : i + 1], spec).tobytes() == whole[i : i + 1].tobytes(), (name, i)
+
+
+@PROPERTY_SETTINGS
+@given(batches)
+def test_packed_histogram_form_is_the_per_record_conversion(pairs):
+    forecasts = [f for f, _ in pairs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hists = HistogramBatch.from_forecasts(forecasts)
+    for i, f in enumerate(forecasts):
+        edges = hists.edges[hists.offsets[i] : hists.offsets[i + 1]]
+        probs = hists.probs[hists.offsets[i] : hists.offsets[i + 1]]
+        if oracle.histogram(f) is None:
+            assert edges.size == 0
+            continue
+        h = to_histogram(f)
+        assert edges.tobytes() == h.edges.tobytes()
+        assert probs[:-1].tobytes() == h.probs.tobytes()
+        assert probs[-1:].tobytes() == np.zeros(1).tobytes()
