@@ -48,8 +48,8 @@ def _resolve_cli_metrics(names: list[str], args) -> list[scoring.MetricSpec]:
         if name == "interval_score":
             if args.alpha is None:
                 raise UnknownMetricError("bare 'interval_score' needs --alpha")
-            level = int(round((1.0 - args.alpha) * 100))
-            specs.append(scoring.MetricSpec(f"interval_score_{level}", alpha=args.alpha))
+            spec = scoring.MetricSpec("interval_score", alpha=args.alpha)  # checks alpha
+            specs.append(replace(spec, name=f"interval_score_{round((1.0 - spec.alpha) * 100)}"))
         elif name == "energy_score":
             if args.beta is None:
                 raise UnknownMetricError("bare 'energy_score' needs --beta")

@@ -10,6 +10,7 @@ line endings; leaderboard emission is byte-deterministic.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import reprlib
@@ -48,8 +49,6 @@ _FORMS = {
     "samples": (SampleForecast, ("values",)),
 }
 _FORM_KEYS = tuple(dict.fromkeys(key for _, keys in _FORMS.values() for key in keys))
-
-_SCORE_ROWS_PER_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -291,19 +290,15 @@ def write_scores(
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "target", *names])
-        # Cells are formatted a column at a time, in row chunks so that only
-        # one chunk's strings are alive at once.
-        for lo in range(0, len(records), _SCORE_ROWS_PER_CHUNK):
-            chunk = records[lo : lo + _SCORE_ROWS_PER_CHUNK]
-            columns = [[rec.id for rec in chunk], [repr(rec.target) for rec in chunk]]
-            for name in names:
-                values = results[name].values
-                if values is None:
-                    columns.append([""] * len(chunk))
-                else:
-                    cells = values[lo : lo + len(chunk)].tolist()
-                    columns.append(["" if math.isnan(v) else repr(v) for v in cells])
-            writer.writerows(zip(*columns))
+        # One generator per column: each row is formatted as it is written.
+        columns = [(rec.id for rec in records), (repr(rec.target) for rec in records)]
+        for name in names:
+            values = results[name].values
+            if values is None:
+                columns.append(itertools.repeat("", len(records)))
+            else:
+                columns.append("" if math.isnan(v) else repr(v) for v in map(float, values))
+        writer.writerows(zip(*columns))
         writer.writerow(["mean", "", *[repr(results[name].mean) for name in names]])
 
 

@@ -24,9 +24,8 @@ one-record batch.  Kernels gather records of equal support size (or edge
 count) as rows and work row-wise, in chunks whose temporaries stay within
 ``forecast.BLOCK_ELEMENTS`` elements whatever the batch size.  Per-record
 sums add left to right, so no score depends on where the chunks fall, and
-a record scores the same in any batch except under the energy score: its
-pair sums are taken in slabs whose height depends on how many records of
-the batch share the record's support size, which can move last bits.
+a record scores the same in any batch: the energy score takes its pair sums
+in slabs whose height follows from the support size alone.
 """
 
 from __future__ import annotations
@@ -73,9 +72,10 @@ WEIGHT_KINDS = ("left", "right", "center", "unit")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Pair-matrix elements the energy score takes per pass from all records of
-# one support size.  Slabs follow from the support sizes in the batch, never
-# from the chunk budget, so no score depends on where the chunks fall.
+# Pair-matrix elements the energy score takes per pass from one support: a
+# support of at most 64 points takes its whole pair matrix at once, a larger
+# one a row at a time.  This constant alone fixes the bytes of every energy
+# score, whatever the batch and wherever the chunks fall.
 _PAIR_SLAB_ELEMENTS = 4096
 
 # A kernel scores a whole batch: per-record values (NaN where undefined) or
@@ -206,29 +206,27 @@ def crls_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> 
 def energy_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
     beta = spec.beta
     out = np.empty(batch.n)
-    # Many records of one size share each pass over their pair matrices,
-    # so they take one row per pass; a few take larger slabs, which keeps
-    # the passes few for a one-record batch.
-    records_of_size = np.bincount(batch.lengths)
-
-    def slab(size: int) -> int:
-        return max(1, min(size, _PAIR_SLAB_ELEMENTS // (size * records_of_size[size])))
-
-    for rows, cols in batch.by_size.chunks(lambda j: slab(j) * j):
+    for rows, cols in batch.by_size.chunks(lambda size: _pair_slab(size) * size):
         x, p = batch.points[cols], batch.probs[cols]
         to_obs = _row_sums(p * np.abs(x - targets[rows, None]) ** beta)
-        out[rows] = to_obs - _energy_pairs(x, p, beta, slab(cols.shape[1]))
+        out[rows] = to_obs - _energy_pairs(x, p, beta)
     return out
 
 
-def _energy_pairs(x: np.ndarray, p: np.ndarray, beta: float, slab: int) -> np.ndarray:
+def _pair_slab(size: int) -> int:
+    """Rows of a support's pair matrix taken per pass: all of them, or one."""
+    return size if size * size <= _PAIR_SLAB_ELEMENTS else 1
+
+
+def _energy_pairs(x: np.ndarray, p: np.ndarray, beta: float) -> np.ndarray:
     """0.5 E|X - X'|^b per row of ``x``: the sum over pairs i < j.
 
     Rows hold equal-size ascending supports.  The pair matrix is taken
-    ``slab`` rows at a time, against the columns right of the slab's first
-    row; pairs with j <= i give x_j - x_i <= 0 and are clipped to zero.
+    ``_pair_slab`` rows at a time, against the columns right of the slab's
+    first row; pairs with j <= i give x_j - x_i <= 0 and are clipped to zero.
     """
     size = x.shape[1]
+    slab = _pair_slab(size)
     cross = np.zeros(x.shape[0])
     for lo in range(0, size - 1, slab):
         hi = min(lo + slab, size - 1)
@@ -264,6 +262,8 @@ def wcrps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) ->
             )
     else:
         loc, scale = float(spec.weight_loc), float(spec.weight_scale)
+        if not (math.isfinite(loc) and math.isfinite(scale)):
+            raise InvalidScaleError(f"weight reference must be finite, got {loc}, {scale}")
         if scale <= 0.0:
             raise InvalidScaleError(f"weight scale must be > 0, got {scale}")
     kind = spec.weight_kind or "unit"
@@ -536,18 +536,22 @@ def score_batch(
     Histogram-only metrics (log score, Brier) are computed through the
     quantile-to-histogram conversion for quantile records and are absent
     (NaN) for sample records.  wCRPS weight references default to the
-    batch target mean and population standard deviation.
+    batch target mean and population standard deviation.  Two different
+    specs with one name raise :class:`UnknownMetricError`.
     """
     records = list(records)
     if not records:
         raise EmptyBatchError("no forecast records to score")
-    resolved = [resolve_metric(s) if isinstance(s, str) else s for s in specs]
+    resolved: dict[str, MetricSpec] = {}
+    for spec in specs:
+        spec = resolve_metric(spec) if isinstance(spec, str) else spec
+        if resolved.setdefault(spec.name, spec) != spec:
+            raise UnknownMetricError(f"two different metrics are named {spec.name!r}")
     targets = np.array([rec.target for rec in records], dtype=float)
     batch = ForecastBatch.from_forecasts(rec.forecast for rec in records)
 
     results: dict[str, ScoreResult] = {}
-    for spec in resolved:
-        name = spec.name
+    for name, spec in resolved.items():
         if spec.kernel is None:
             raise UnknownMetricError(f"metric {name!r} has no kernel and names no built-in metric")
         try:

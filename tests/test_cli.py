@@ -195,6 +195,31 @@ class TestScoreCommand:
         assert "interval_score_80" in header
         assert "energy_score_beta_0.7" in header
 
+    @pytest.mark.parametrize("args", [
+        ("interval_score", "--alpha", "nan"),
+        ("interval_score", "--alpha", "inf"),
+        ("wcrps_left", "--weight-ref", "nan", "1"),
+        ("wcrps_left", "--weight-ref", "0", "inf"),
+    ])
+    def test_non_finite_parameter_is_an_error(self, tmp_path, capsys, args):
+        out = tmp_path / "s.csv"
+        code = run_cli("score", "--forecasts", DATA / "scores_corpus.jsonl",
+                       "--metrics", *args, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_two_specs_with_one_name_are_an_error(self, tmp_path, capsys):
+        # alpha 0.096 also names its column interval_score_90.
+        out = tmp_path / "s.csv"
+        code = run_cli("score", "--forecasts", DATA / "scores_corpus.jsonl",
+                       "--metrics", "interval_score_90,interval_score", "--alpha", 0.096,
+                       "--out", out)
+        assert code == 1
+        assert "error: two different metrics are named 'interval_score_90'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ambiguous_record_is_input_error(self, tmp_path):
         path = self.forecasts_file(tmp_path, [
             {"id": "a", "target": 0.0, "type": "histogram",

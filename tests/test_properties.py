@@ -27,6 +27,7 @@ from probeval import forecast as forecast_module
 from probeval.errors import OutsideSupportError, QuantileCrossingWarning
 from probeval.forecast import HistogramBatch
 from probeval.io import ForecastRecord
+from probeval.scoring import ENERGY_BETAS
 
 REL = 1e-12
 
@@ -198,9 +199,8 @@ def test_scores_do_not_depend_on_the_block_budget(pairs):
 
 
 def test_energy_slabs_of_every_size():
-    # Pair matrices are summed in slabs whose height depends on the support
-    # size and on how many records share it: here from 1 row (120 records of
-    # 40 points) to 63 rows (one record of 65 points).
+    # Pair matrices are summed in slabs whose height is the support size (a
+    # support of at most 64 points, here 1 and 40) or 1 (here 65, 150, 300).
     rng = np.random.default_rng(17)
     sizes = (1, 65, 150, 150, 300) + (40,) * 120
     samples = [SampleForecast(rng.normal(size=n)) for n in sizes]
@@ -221,10 +221,8 @@ def test_energy_slabs_of_every_size():
 # points[0] + 1.0 * (points[-1] - points[0]) rounds above points[-1] here.
 @example(pairs=[(QuantileForecast([0.01, 0.02], [-0.25, 1e-9]), 0.0)], where=[1.0] * 10)
 def test_a_record_scores_the_same_alone_and_in_its_batch(pairs, where):
-    # The energy score is left out: the slab height of its pair sums
-    # depends on how many records of the batch share a support size, which
-    # moves last bits.  wCRPS gets an explicit reference, since the default
-    # one is taken from all targets of the batch.
+    # wCRPS gets an explicit reference, since the default one is taken from
+    # all targets of the batch.
     forecasts = [f for f, _ in pairs]
     batch = ForecastBatch.from_forecasts(forecasts)
     alone = [ForecastBatch.from_forecasts([f]) for f in forecasts]
@@ -237,8 +235,6 @@ def test_a_record_scores_the_same_alone_and_in_its_batch(pairs, where):
         inside.append(min(points[0] + u * (points[-1] - points[0]), points[-1]))
     inside = np.array(inside)
     for name in METRIC_NAMES:
-        if name.startswith("energy_score"):
-            continue
         spec = resolve_metric(name)
         if spec.weight_kind is not None:
             spec = replace(spec, weight_loc=0.3, weight_scale=1.7)
@@ -250,6 +246,22 @@ def test_a_record_scores_the_same_alone_and_in_its_batch(pairs, where):
                 continue  # a batch-level metric
             for i, one in enumerate(alone):
                 assert spec.kernel(one, y[i : i + 1], spec).tobytes() == whole[i : i + 1].tobytes(), (name, i)
+
+
+def test_an_energy_score_has_the_same_bytes_alone_and_in_its_batch():
+    # Support sizes on both sides of the 64 points whose whole pair matrix
+    # is taken in one pass, with many and few records of each size.
+    rng = np.random.default_rng(5)
+    sizes = (3,) * 50 + (10,) * 300 + (40,) * 20 + (70,) * 30 + (100,) * 60 + (200,) * 3
+    samples = [SampleForecast(rng.normal(size=n)) for n in sizes]
+    targets = rng.normal(size=len(samples)) * 2.0
+    batch = ForecastBatch.from_forecasts(samples)
+    for beta in ENERGY_BETAS:
+        spec = MetricSpec(f"energy_score_beta_{beta}", beta=beta)
+        whole = spec.kernel(batch, targets, spec)
+        for i, f in enumerate(samples):
+            one = spec.kernel(ForecastBatch.from_forecasts([f]), targets[i : i + 1], spec)
+            assert one.tobytes() == whole[i : i + 1].tobytes(), (beta, sizes[i], i)
 
 
 @PROPERTY_SETTINGS

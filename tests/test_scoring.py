@@ -303,6 +303,12 @@ class TestWcrps:
         with pytest.raises(InvalidScaleError):
             wcrps(TWO_POINT, 0.0, spec)
 
+    @pytest.mark.parametrize("loc, scale", [(math.nan, 1.0), (0.0, math.inf), (math.inf, 1.0)])
+    def test_non_finite_reference(self, loc, scale):
+        spec = MetricSpec("wcrps_left", weight_kind="left", weight_loc=loc, weight_scale=scale)
+        with pytest.raises(InvalidScaleError, match="finite"):
+            wcrps(TWO_POINT, 0.0, spec)
+
 
 class TestPointMetrics:
     def test_perfect_predictions(self):
@@ -446,6 +452,17 @@ class TestScoreBatch:
         records = [ForecastRecord("a", 0.0, DiscreteForecast([0.0], [1.0]))]
         with pytest.raises(UnknownMetricError):
             score_batch(records, [MetricSpec("nope")])
+
+    def test_two_specs_with_one_name_are_an_error(self):
+        records = [ForecastRecord("a", 0.0, DiscreteForecast([0.0, 1.0], [0.5, 0.5]))]
+        with pytest.raises(UnknownMetricError, match="interval_score_90"):
+            score_batch(records, [MetricSpec("interval_score_90", alpha=0.096), "interval_score_90"])
+
+    def test_equal_specs_share_one_column(self):
+        records = [ForecastRecord("a", 0.0, DiscreteForecast([0.0, 1.0], [0.5, 0.5]))]
+        results = score_batch(records, ["crps", MetricSpec("crps"), "crps"])
+        assert list(results) == ["crps"]
+        assert results["crps"].mean == 0.25
 
     def test_histogram_metrics_absent_for_samples_only(self):
         records = [ForecastRecord("s", 1.0, SampleForecast([0.0, 1.0, 2.0]))]
