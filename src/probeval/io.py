@@ -111,12 +111,22 @@ def _parse_forecast(line: str, line_no: int) -> tuple[dict, ForecastRecord]:
             raise RecordParseError(
                 line_no, f"{key} must contain only numbers, got {reprlib.repr(bad)}"
             )
+    args = [obj[key] for key in keys]
+    caught: list[warnings.WarningMessage] = []
     try:
-        forecast = cls(*map(obj.__getitem__, keys))
+        if cls is QuantileForecast:
+            # A crossing repair is re-issued below with the record's line and id.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                forecast = cls(*args)
+        else:
+            forecast = cls(*args)
         record_id = str(obj["id"])
         record_id.encode("utf-8")  # a lone surrogate escape could never be written out
     except (ValueError, TypeError, OverflowError, RecursionError, ProbevalError) as exc:
         raise RecordParseError(line_no, str(exc)) from None
+    for w in caught:
+        warnings.warn(f"line {line_no}, record {record_id!r}: {w.message}", w.category)
     return obj, ForecastRecord(id=record_id, target=y, forecast=forecast)
 
 

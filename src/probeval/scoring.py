@@ -72,6 +72,26 @@ WEIGHT_KINDS = ("left", "right", "center", "unit")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# Cephes ndtr.c, the normal CDF that scipy.special.ndtr ships: the erf
+# coefficients T/U (|x| <= 1) and the erfc coefficients P/Q (1 <= x < 8) and
+# R/S (x >= 8), each highest power first; U, Q and S omit a leading 1.
+_SQRT1_2 = math.sqrt(0.5)
+_MAXLOG = 7.09782712893383996843e2
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
 # Pair-matrix elements the energy score takes per pass from one support: a
 # support of at most 64 points takes its whole pair matrix at once, a larger
 # one a row at a time.  This constant alone fixes the bytes of every energy
@@ -176,20 +196,70 @@ def _norm_pdf(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
+def _polevl(x: np.ndarray, coef: tuple, leading_one: bool = False) -> np.ndarray:
+    """Cephes ``polevl`` (or ``p1evl`` with ``leading_one``), in Horner order."""
+    y = x + coef[0] if leading_one else coef[0] * x + coef[1]
+    for c in coef[1 if leading_one else 2 :]:
+        y *= x
+        y += c
+    return y
+
+
+def _erf_small(x: np.ndarray) -> np.ndarray:
+    """Cephes ``erf`` for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, leading_one=True)
+
+
+def _erfc_tail(z: np.ndarray, square: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
+    """Cephes ``erfc`` for z >= 1 short of its underflow: exp(-z^2) p(z) / q(z)."""
+    e = np.fromiter(map(math.exp, (-square).tolist()), float, z.size)
+    return (e * _polevl(z, p)) / _polevl(z, q, leading_one=True)
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, bit for bit cephes ``ndtr`` as scipy.special ships it.
+
+    Each branch of cephes ``ndtr``/``erf``/``erfc`` runs on its own elements
+    in cephes' operation order.  exp(-x^2) goes through ``math.exp`` (the C
+    library's, as in cephes): numpy's vectorised ``exp`` differs from it in
+    the last bit on a few percent of arguments.
+    """
+    a = np.asarray(a, dtype=float)
+    # x * x overflows and a signalling NaN is invalid, both silently in C.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = a.ravel() * _SQRT1_2
+        z = np.abs(x)
+        square = z * z
+        y = np.full_like(x, math.nan)
+        near = np.flatnonzero(z < _SQRT1_2)
+        y[near] = 0.5 + 0.5 * _erf_small(x[near])
+        # Elsewhere y is 0.5 erfc(z), taken from 1 when x > 0.
+        mid = np.flatnonzero((z >= _SQRT1_2) & (z < 1.0))
+        y[mid] = 0.5 * (1.0 - _erf_small(z[mid]))
+        inner = np.flatnonzero((z >= 1.0) & (z < 8.0))
+        y[inner] = 0.5 * _erfc_tail(z[inner], square[inner], _ERFC_P, _ERFC_Q)
+        outer = np.flatnonzero((z >= 8.0) & (square <= _MAXLOG))
+        y[outer] = 0.5 * _erfc_tail(z[outer], square[outer], _ERFC_R, _ERFC_S)
+        y[square > _MAXLOG] = 0.0  # erfc underflows; a NaN fails every test above
+        upper = np.flatnonzero((x > 0.0) & (z >= _SQRT1_2))
+        y[upper] = 1.0 - y[upper]
+    return y.reshape(a.shape)
+
+
 def _weight_integral(kind: str, a: np.ndarray, b: np.ndarray, loc: float, scale: float) -> np.ndarray:
     """Integral of the weight function over target-axis intervals [a, b]."""
     if kind == "unit":
         return b - a
-    # Imported here so that only runs with Gaussian weights load scipy.
-    from scipy.special import ndtr
-
+    # _ndtr gives scipy.special.ndtr's bits, so these integrals keep the bytes
+    # that tests/data/scores_golden.csv pins without importing scipy.
     za = (a - loc) / scale
     zb = (b - loc) / scale
     if kind == "center":
-        return scale * (ndtr(zb) - ndtr(za))
+        return scale * (_ndtr(zb) - _ndtr(za))
     # antiderivative of the normal CDF: z*cdf(z) + pdf(z)
-    prim_a = za * ndtr(za) + _norm_pdf(za)
-    prim_b = zb * ndtr(zb) + _norm_pdf(zb)
+    prim_a = za * _ndtr(za) + _norm_pdf(za)
+    prim_b = zb * _ndtr(zb) + _norm_pdf(zb)
     if kind == "right":
         return scale * (prim_b - prim_a)
     return scale * ((zb - prim_b) - (za - prim_a))

@@ -244,7 +244,8 @@ class TestScoreCommand:
                        "--metrics", "crps,log_score", "--out", tmp_path / "s.csv")
         assert code == 0
         assert capsys.readouterr().err.splitlines() == [
-            "note: 1 quantile crossing(s) repaired by monotone rearrangement",
+            "note: line 10, record 'q5-crossing': 1 quantile crossing(s) repaired"
+            " by monotone rearrangement",
             "note: 6 quantile record(s) converted to histograms for density scores",
         ]
 
@@ -256,8 +257,10 @@ class TestScoreCommand:
                        "--out", tmp_path / "s.csv")
         assert code == 0
         assert capsys.readouterr().err.splitlines() == [
-            "note: 2 quantile crossing(s) repaired by monotone rearrangement"
-        ] * 3
+            f"note: line {i + 1}, record '{i}': 2 quantile crossing(s) repaired"
+            " by monotone rearrangement"
+            for i in range(3)
+        ]
 
 
 def child_env() -> dict:
@@ -276,8 +279,8 @@ def modules_after(code: str, tmp_path, package: str = "scipy") -> list[str]:
 
 
 class TestStartup:
-    """scipy is loaded only by wCRPS's Gaussian weights, and the thread pool
-    only by the permutation null, never at start-up."""
+    """No code path loads scipy, and the thread pool is loaded only by the
+    permutation null, never at start-up."""
 
     def test_import_loads_no_scipy(self, tmp_path):
         assert modules_after("import probeval, probeval.cli", tmp_path) == []
@@ -296,13 +299,28 @@ assert main(["leaderboard", "--runs", {str(runs)!r}, "--metric", "crps",
 """
         assert modules_after(code, tmp_path) == []
 
-    def test_gaussian_wcrps_loads_scipy_special(self, tmp_path):
+    def test_golden_table_scores_with_scipy_unimportable(self, tmp_path):
+        # All 21 built-ins, Gaussian wCRPS weights included, in a child that
+        # cannot import scipy.
+        golden = DATA / "scores_golden.csv"
         code = f"""
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{{name}} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
 from probeval.cli import main
+with open({str(golden)!r}, encoding="utf-8") as fh:
+    metrics = fh.readline().strip().split(",")[2:]
 assert main(["score", "--forecasts", {str(DATA / "scores_corpus.jsonl")!r},
-             "--metrics", "wcrps_left", "--out", "s.csv"]) == 0
+             "--metrics", ",".join(metrics), "--out", "s.csv"]) == 0
 """
-        assert "scipy.special" in modules_after(code, tmp_path)
+        assert modules_after(code, tmp_path) == []
+        assert (tmp_path / "s.csv").read_bytes() == golden.read_bytes()
 
 
 class TestValidateCommand:

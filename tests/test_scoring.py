@@ -1,7 +1,13 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import oracle
@@ -34,6 +40,7 @@ from probeval.errors import (
     UnknownMetricError,
 )
 from probeval.io import ForecastRecord
+from probeval.scoring import _MAXLOG, _ndtr
 
 TWO_POINT = DiscreteForecast([0.0, 1.0], [0.5, 0.5])
 
@@ -308,6 +315,61 @@ class TestWcrps:
         spec = MetricSpec("wcrps_left", weight_kind="left", weight_loc=loc, weight_scale=scale)
         with pytest.raises(InvalidScaleError, match="finite"):
             wcrps(TWO_POINT, 0.0, spec)
+
+
+def ndtr_port(a) -> np.ndarray:
+    """``_ndtr(a)``, failing on any warning it emits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _ndtr(a)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    differ = (got.view(np.int64) != want.view(np.int64)) & ~(np.isnan(got) & np.isnan(want))
+    assert not differ.any(), (got[differ][:5], want[differ][:5])
+
+
+# cephes ndtr's branch edges on its argument a: |a / sqrt(2)| against sqrt(1/2),
+# 1 and 8, and (a / sqrt(2))^2 against MAXLOG.
+NDTR_EDGES = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * _MAXLOG)])
+SIGNALLING_NAN = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+
+
+class TestNdtr:
+    """The Gaussian wCRPS weights' normal CDF has scipy.special.ndtr's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=20),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True, width=64)))
+    def test_any_float64_matches_scipy(self, a):
+        assert_same_bits(ndtr_port(a), ndtr(a))
+
+    def test_branch_edges_and_special_values(self):
+        edges = np.concatenate([NDTR_EDGES, -NDTR_EDGES])
+        a = np.concatenate([
+            edges, np.nextafter(edges, math.inf), np.nextafter(edges, -math.inf),
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 37.5, -37.5,
+             38.5, -38.5, 1e200, -1e200, np.finfo(float).max, -np.finfo(float).max],
+            SIGNALLING_NAN,
+        ])
+        assert_same_bits(ndtr_port(a), ndtr(a))
+
+    def test_random_arguments_match_scipy(self):
+        rng = np.random.default_rng(2026)
+        magnitudes = np.exp(rng.uniform(-30.0, 6.0, 50_000)) * rng.choice([-1.0, 1.0], 50_000)
+        a = np.concatenate([rng.normal(0.0, 3.0, 50_000), rng.uniform(-40.0, 40.0, 50_000),
+                            rng.uniform(-1.5, 1.5, 50_000), magnitudes])
+        assert_same_bits(ndtr_port(a), ndtr(a))
+
+    @pytest.mark.parametrize("a", [np.float64(-1.25), np.array(2.5), np.empty(0),
+                                   np.empty((0, 3)), np.linspace(-12.0, 12.0, 12).reshape(3, 4)])
+    def test_shape_is_kept(self, a):
+        got = ndtr_port(a)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(a)
+        assert_same_bits(got, ndtr(a))
 
 
 class TestPointMetrics:
