@@ -53,9 +53,7 @@ def _resolve_cli_metrics(names: list[str], args) -> list[scoring.MetricSpec]:
         elif name == "energy_score":
             if args.beta is None:
                 raise UnknownMetricError("bare 'energy_score' needs --beta")
-            specs.append(
-                scoring.MetricSpec(f"energy_score_beta_{args.beta:g}", beta=args.beta)
-            )
+            specs.append(scoring.MetricSpec(f"energy_score_beta_{args.beta}", beta=args.beta))
         else:
             spec = scoring.resolve_metric(name)
             if spec.weight_kind is not None and args.weight_ref is not None:
@@ -94,9 +92,11 @@ def cmd_leaderboard(args) -> int:
     records = io.read_runs(args.runs)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = ranking.build_leaderboard(records, args.metric, nsim=args.nsim, seed=args.seed)
+        try:
+            rows = ranking.build_leaderboard(records, args.metric, nsim=args.nsim, seed=args.seed)
+        finally:
+            _print_notes(caught)
     dropped = [w for w in caught if issubclass(w.category, DroppedDatasetWarning)]
-    _print_notes(caught)
     print(f"{len(dropped)} dataset(s) dropped; {len(rows)} model(s) ranked", file=sys.stderr)
     io.write_leaderboard(rows, args.out, wide=args.wide)
     print(f"leaderboard for {args.metric} -> {args.out}")

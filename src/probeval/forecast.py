@@ -9,7 +9,8 @@ approximately.
 
 :class:`ForecastBatch` packs the point masses of many records into flat
 arrays (CSR layout) so that conversions and scoring rules run over a whole
-batch at once; :class:`DiscreteForecast` is the one-record view of it.
+batch at once; :class:`DiscreteForecast` is the one-record view of it, as
+:func:`to_histogram` gives the one-record view of a :class:`HistogramBatch`.
 Per-record work walks a batch one way: records of equal support size are
 gathered as the rows of a matrix (:class:`_SizeGroups`, computed once per
 batch) and handled by row-wise numpy operations, so each record gets
@@ -58,6 +59,13 @@ def _finite_1d(values, name: str) -> np.ndarray:
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _view(cls, **fields):
+    """A frozen ``cls`` holding ``fields`` as they are, without running its constructor."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,12 +176,8 @@ class DiscreteForecast:
     batch: ForecastBatch = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        self._adopt(ForecastBatch(self.points, self.probs, [0, np.size(self.points)]))
-
-    def _adopt(self, batch: ForecastBatch) -> None:
-        object.__setattr__(self, "points", batch.points)
-        object.__setattr__(self, "probs", batch.probs)
-        object.__setattr__(self, "batch", batch)
+        batch = ForecastBatch(self.points, self.probs, [0, np.size(self.points)])
+        self.__dict__.update(points=batch.points, probs=batch.probs, batch=batch)
 
     def cdf(self, x):
         """Right-continuous step CDF; accepts a scalar or an array."""
@@ -384,29 +388,16 @@ class ForecastBatch:
         """Number of records."""
         return self.offsets.size - 1
 
-    @property
-    def lengths(self) -> np.ndarray:
-        """Support size of every record."""
-        return self.offsets[1:] - self.offsets[:-1]
-
     def record(self, i: int) -> DiscreteForecast:
         """Record i as a :class:`DiscreteForecast` sharing this batch's arrays.
 
         The view has no source forecast, so no histogram form either."""
         start, stop = self.offsets[i], self.offsets[i + 1]
         offsets = np.array([0, stop - start])
-        sub = object.__new__(ForecastBatch)
-        for name, value in (
-            ("points", self.points[start:stop]),
-            ("probs", self.probs[start:stop]),
-            ("offsets", offsets),
-            ("cdf", self.cdf[start:stop]),
-            ("by_size", _SizeGroups(offsets)),
-        ):
-            object.__setattr__(sub, name, value)
-        f = object.__new__(DiscreteForecast)
-        f._adopt(sub)
-        return f
+        points, probs = self.points[start:stop], self.probs[start:stop]
+        sub = _view(ForecastBatch, points=points, probs=probs, offsets=offsets,
+                    cdf=self.cdf[start:stop], by_size=_SizeGroups(offsets))
+        return _view(DiscreteForecast, points=points, probs=probs, batch=sub)
 
     def quantiles(self, tau: float) -> np.ndarray:
         """Generalized inverse CDF of every record at level ``tau``."""
@@ -485,13 +476,6 @@ class HistogramBatch:
         edges, probs, offsets = _gather(forecasts, _TO_BINS)
         converted = sum(isinstance(f, QuantileForecast) and f.levels.size > 1 for f in forecasts)
         return cls(edges, probs, offsets, converted=converted)
-
-    def groups(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(record indices, masses, edges) of the records of each edge count,
-        as rows, in chunks within BLOCK_ELEMENTS; records without a
-        histogram are skipped.  A row's last mass is the 0.0 of its last edge."""
-        for rows, cols in self.by_bins.chunks():
-            yield rows, self.probs[cols], self.edges[cols]
 
 
 def _form_of(forecast) -> type:
@@ -665,10 +649,7 @@ def quantiles_to_histogram(q: QuantileForecast) -> HistogramForecast:
     The mass in the two open tails is discarded and the remaining masses
     renormalized uniformly.  Needs at least two levels to form a bin.
     """
-    if q.levels.size < 2:
-        raise NotConvertibleError("at least two quantile levels are needed to form bins")
-    edges = _spread_equal_runs(q.values, np.array([0, q.values.size]))
-    return HistogramForecast(edges, np.diff(q.levels))
+    return to_histogram(q)
 
 
 def samples_to_discrete(s: SampleForecast) -> DiscreteForecast:
@@ -686,15 +667,13 @@ def to_discrete(forecast: Forecast) -> DiscreteForecast:
 def to_histogram(forecast: Forecast) -> HistogramForecast:
     """Convert to histogram form where a density exists.
 
-    Sample and point-mass forecasts have no bin widths and therefore no
-    density, so they are not convertible.
+    The one-record call of :meth:`HistogramBatch.from_forecasts`.  Sample
+    and point-mass forecasts have no bin widths and therefore no density,
+    and one quantile level forms no bin, so these are not convertible.
     """
-    if isinstance(forecast, HistogramForecast):
-        return forecast
-    if isinstance(forecast, QuantileForecast):
-        return quantiles_to_histogram(forecast)
-    if isinstance(forecast, (SampleForecast, DiscreteForecast)):
+    hists = HistogramBatch.from_forecasts([forecast])
+    if hists.edges.size == 0:
         raise NotConvertibleError(
             f"{type(forecast).__name__} has no density; histogram scores are undefined"
         )
-    raise TypeError(f"not a forecast: {type(forecast).__name__}")
+    return _view(HistogramForecast, edges=_readonly(hists.edges), probs=_readonly(hists.probs[:-1]))

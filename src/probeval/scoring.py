@@ -110,7 +110,8 @@ class MetricSpec:
     ``alpha`` is the mass outside a central prediction interval, ``beta``
     the energy-score exponent, ``level`` the nominal coverage of a central
     interval, ``weight_kind`` selects the wCRPS weight and
-    ``weight_loc``/``weight_scale`` its climatological reference.
+    ``weight_loc``/``weight_scale`` its climatological reference, set both
+    or neither.
     ``kernel`` computes the metric; when omitted it follows from the
     parameter that is set (beta: energy score, alpha: interval score,
     weight_kind: wCRPS, level: coverage) or from the built-in metric of
@@ -138,6 +139,8 @@ class MetricSpec:
             raise InvalidLevelError(f"coverage level must be in (0, 1), got {self.level}")
         if self.weight_kind is not None and self.weight_kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind: {self.weight_kind!r}")
+        if (self.weight_loc is None) != (self.weight_scale is None):
+            raise ValueError("set weight_loc and weight_scale together, or neither")
         if self.kernel is None:
             object.__setattr__(self, "kernel", _implied_kernel(self))
 
@@ -324,7 +327,7 @@ def interval_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: Metri
 def wcrps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
     """wCRPS; without an explicit reference the weights center on the
     whole batch's target mean and population standard deviation."""
-    if spec.weight_loc is None or spec.weight_scale is None:
+    if spec.weight_loc is None:
         loc, scale = float(np.mean(targets)), float(np.std(targets))
         if scale <= 0.0:
             raise InvalidScaleError(
@@ -347,7 +350,8 @@ def wcrps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) ->
 
 def _log_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
     out = np.full(hists.offsets.size - 1, math.nan)
-    for rows, probs, edges in hists.groups():
+    for rows, cols in hists.by_bins.chunks():
+        probs, edges = hists.probs[cols], hists.edges[cols]
         k, inside = _bin_index(edges, targets[rows, None])
         r = np.arange(rows.size)
         p = np.where(inside, np.maximum(probs[r, k], EPS_DENSITY), EPS_DENSITY)
@@ -366,7 +370,8 @@ def _log_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
 def _brier_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
     out = np.full(hists.offsets.size - 1, math.nan)
     outside = np.zeros(out.size, dtype=bool)
-    for rows, probs, edges in hists.groups():
+    for rows, cols in hists.by_bins.chunks():
+        probs, edges = hists.probs[cols], hists.edges[cols]
         k, inside = _bin_index(edges, targets[rows, None])
         outside[rows] = ~inside
         out[rows] = _row_sums(probs * probs) - 2.0 * probs[np.arange(rows.size), k] + 1.0
@@ -520,13 +525,9 @@ def wcrps(f: DiscreteForecast, y: float, spec: MetricSpec) -> float:
     so only the weight needs integrating, which is done with the exact
     Gaussian antiderivatives.
     """
-    spec = replace(
-        spec,
-        weight_loc=0.0 if spec.weight_loc is None else spec.weight_loc,
-        weight_scale=1.0 if spec.weight_scale is None else spec.weight_scale,
-        kernel=wcrps_kernel,
-    )
-    return _one(spec, f, y)
+    if spec.weight_loc is None:
+        spec = replace(spec, weight_loc=0.0, weight_scale=1.0)
+    return _one(replace(spec, kernel=wcrps_kernel), f, y)
 
 
 def log_score(h: HistogramForecast, y: float) -> float:

@@ -133,6 +133,21 @@ class TestLeaderboardCommand:
                        "--nsim", 10, "--seed", 1, "--out", tmp_path / "lb.csv")
         assert code == 2
 
+    def test_dropped_dataset_notes_come_before_the_error(self, tmp_path, capsys):
+        runs = tmp_path / "disjoint.csv"
+        runs.write_text(
+            "model,dataset,fold,metric,value\na,x,0,crps,1.0\nb,y,0,crps,2.0\n",
+            encoding="utf-8",
+        )
+        code = run_cli("leaderboard", "--runs", runs, "--metric", "crps",
+                       "--seed", 7, "--out", tmp_path / "lb.csv")
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "note: dataset 'x' dropped: no runs for b",
+            "note: dataset 'y' dropped: no runs for a",
+            "error: no dataset has runs for every model on metric 'crps'",
+        ]
+
 
 class TestScoreCommand:
     def forecasts_file(self, tmp_path, records):
@@ -194,6 +209,15 @@ class TestScoreCommand:
         header = out.read_text(encoding="utf-8").splitlines()[0]
         assert "interval_score_80" in header
         assert "energy_score_beta_0.7" in header
+
+    def test_bare_energy_score_shares_the_builtin_column(self, tmp_path):
+        out = tmp_path / "s.csv"
+        code = run_cli("score", "--forecasts", DATA / "scores_corpus.jsonl",
+                       "--metrics", "energy_score_beta_1.0,energy_score", "--beta", 1,
+                       "--out", out)
+        assert code == 0
+        header = out.read_text(encoding="utf-8").splitlines()[0]
+        assert header == "id,target,energy_score_beta_1.0"
 
     @pytest.mark.parametrize("args", [
         ("interval_score", "--alpha", "nan"),
@@ -321,6 +345,62 @@ assert main(["score", "--forecasts", {str(DATA / "scores_corpus.jsonl")!r},
 """
         assert modules_after(code, tmp_path) == []
         assert (tmp_path / "s.csv").read_bytes() == golden.read_bytes()
+
+
+CONSTANT_TARGETS = [
+    {"id": "a", "target": 1.0, "type": "samples", "values": [0.0, 2.0]},
+    {"id": "b", "target": 1.0, "type": "samples", "values": [1.0, 3.0]},
+]
+
+
+class TestErrorPaths:
+    """Each error names its cause on stderr, with its exit code and no traceback."""
+
+    def write(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_forecast_line_that_is_not_an_object(self, tmp_path, capsys):
+        path = self.write(tmp_path, "fc.jsonl", "[1, 2]\n")
+        assert run_cli("score", "--forecasts", path, "--metrics", "crps",
+                       "--out", tmp_path / "s.csv") == 1
+        out, err = capsys.readouterr()
+        assert err == "error: line 1: record must be a JSON object\n"
+        assert run_cli("validate", "--forecasts", path) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "line 1: record must be a JSON object"
+        assert "Traceback" not in out + err
+
+    def test_empty_run_file(self, tmp_path, capsys):
+        path = self.write(tmp_path, "runs.csv", "")
+        assert run_cli("leaderboard", "--runs", path, "--metric", "crps",
+                       "--seed", 7, "--out", tmp_path / "lb.csv") == 1
+        out, err = capsys.readouterr()
+        assert err == "error: line 1: empty run file; expected a header row\n"
+        assert run_cli("validate", "--runs", path) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "line 1: empty run file; expected a header row"
+        assert "Traceback" not in out + err
+
+    def test_r2_of_constant_targets_is_omitted(self, tmp_path, capsys):
+        path = self.write(tmp_path, "fc.jsonl",
+                          "".join(json.dumps(r) + "\n" for r in CONSTANT_TARGETS))
+        out = tmp_path / "s.csv"
+        assert run_cli("score", "--forecasts", path, "--metrics", "crps,r2", "--out", out) == 0
+        assert capsys.readouterr().err == "note: r2 is undefined for this batch; omitted\n"
+        assert out.read_text(encoding="utf-8").splitlines()[0] == "id,target,crps"
+
+    def test_wcrps_of_constant_targets_needs_a_reference(self, tmp_path, capsys):
+        path = self.write(tmp_path, "fc.jsonl",
+                          "".join(json.dumps(r) + "\n" for r in CONSTANT_TARGETS))
+        out = tmp_path / "s.csv"
+        assert run_cli("score", "--forecasts", path, "--metrics", "wcrps_left",
+                       "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: batch targets have zero spread; pass an explicit weight reference\n"
+        )
+        assert not out.exists()
 
 
 class TestValidateCommand:

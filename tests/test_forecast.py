@@ -56,6 +56,23 @@ class TestHistogramToDiscrete:
             assert histogram_to_discrete(h).mean() == pytest.approx(hist_mean, abs=1e-12)
 
 
+class TestPublicMembers:
+    def test_histogram_widths(self):
+        h = HistogramForecast([0.0, 0.5, 2.0], [1.0, 1.0])
+        assert h.widths.tolist() == [0.5, 1.5]
+
+    @pytest.mark.parametrize("y, k", [
+        (0.0, 0), (0.25, 0), (0.5, 1), (1.9, 1), (2.0, 1), (-0.1, -1), (2.1, -1),
+    ])
+    def test_histogram_bin_index(self, y, k):
+        # Bins are left-closed; the last edge belongs to the last bin.
+        assert HistogramForecast([0.0, 0.5, 2.0], [1.0, 1.0]).bin_index(y) == k
+
+    def test_discrete_median_is_the_generalized_inverse(self):
+        assert DiscreteForecast([0.0, 1.0, 2.0], [0.25, 0.25, 0.5]).median() == 1.0
+        assert DiscreteForecast([0.0, 1.0, 2.0], [0.2, 0.2, 0.6]).median() == 2.0
+
+
 class TestQuantilesToDiscrete:
     def test_single_quantile_carries_all_mass(self):
         d = quantiles_to_discrete(QuantileForecast([0.5], [3.0]))
@@ -241,6 +258,19 @@ class TestDispatchers:
             to_histogram(SampleForecast([1.0]))
         with pytest.raises(NotConvertibleError):
             to_histogram(DiscreteForecast([1.0], [1.0]))
+
+    def test_to_histogram_rejects_a_single_level_and_a_non_forecast(self):
+        with pytest.raises(NotConvertibleError):
+            to_histogram(QuantileForecast([0.5], [3.0]))
+        with pytest.raises(TypeError, match="not a forecast: list"):
+            to_histogram([0.0, 1.0])
+
+    def test_to_histogram_is_a_read_only_copy_of_the_form(self):
+        h = HistogramForecast([0.0, 1.0, 3.0], [1.0, 3.0])
+        out = to_histogram(h)
+        assert out.edges.tolist() == [0.0, 1.0, 3.0]
+        assert out.probs.tolist() == [0.25, 0.75]
+        assert not out.edges.flags.writeable and not out.probs.flags.writeable
 
 
 class TestConversionAtFloatLimits:

@@ -1,6 +1,7 @@
 import math
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -309,6 +310,22 @@ class TestWcrps:
         spec = MetricSpec("wcrps_left", weight_kind="left", weight_loc=0.0, weight_scale=-1.0)
         with pytest.raises(InvalidScaleError):
             wcrps(TWO_POINT, 0.0, spec)
+
+    @pytest.mark.parametrize("ref", [{"weight_loc": 5.0}, {"weight_scale": 2.0}])
+    def test_half_set_reference_is_rejected(self, ref):
+        # score_batch used to read a half-set reference as none at all, the
+        # scalar wcrps as the missing half's default.
+        with pytest.raises(ValueError, match="weight_loc and weight_scale"):
+            MetricSpec("wcrps_left", weight_kind="left", **ref)
+
+    def test_batch_and_scalar_read_a_reference_alike(self):
+        spec = MetricSpec("wcrps_left", weight_kind="left", weight_loc=5.0, weight_scale=1.0)
+        records = [ForecastRecord(str(i), float(i), TWO_POINT) for i in range(3)]
+        got = score_batch(records, [spec])["wcrps_left"].values
+        assert got.tolist() == [wcrps(TWO_POINT, r.target, spec) for r in records]
+        bare = MetricSpec("wcrps_left", weight_kind="left")
+        assert wcrps(TWO_POINT, 0.0, bare) == wcrps(TWO_POINT, 0.0, replace(
+            spec, weight_loc=0.0, weight_scale=1.0))
 
     @pytest.mark.parametrize("loc, scale", [(math.nan, 1.0), (0.0, math.inf), (math.inf, 1.0)])
     def test_non_finite_reference(self, loc, scale):
