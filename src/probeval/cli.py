@@ -8,6 +8,7 @@ emitted file is exactly re-derivable from its inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import warnings
 from dataclasses import replace
@@ -64,23 +65,26 @@ def _resolve_cli_metrics(names: list[str], args) -> list[scoring.MetricSpec]:
     return specs
 
 
-def _print_notes(caught: list[warnings.WarningMessage]) -> None:
-    for w in caught:
-        print(f"note: {w.message}", file=sys.stderr)
-
-
-def cmd_score(args) -> int:
+@contextlib.contextmanager
+def _notes():
+    """Capture warnings and print each as a ``note:`` line on the way out, error or not."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            records = io.read_forecasts(args.forecasts)
-            names = [n.strip() for n in args.metrics.split(",") if n.strip()]
-            if not names:
-                raise UnknownMetricError("no metrics requested")
-            specs = _resolve_cli_metrics(names, args)
-            results = scoring.score_batch(records, specs)
+            yield caught
         finally:
-            _print_notes(caught)
+            for w in caught:
+                print(f"note: {w.message}", file=sys.stderr)
+
+
+def cmd_score(args) -> int:
+    with _notes():
+        records = io.read_forecasts(args.forecasts)
+        names = [n.strip() for n in args.metrics.split(",") if n.strip()]
+        if not names:
+            raise UnknownMetricError("no metrics requested")
+        specs = _resolve_cli_metrics(names, args)
+        results = scoring.score_batch(records, specs)
     io.write_scores(records, results, args.out)
     print(f"{len(records)} record(s) scored, {len(results)} metric column(s) -> {args.out}")
     for name, result in results.items():
@@ -90,12 +94,8 @@ def cmd_score(args) -> int:
 
 def cmd_leaderboard(args) -> int:
     records = io.read_runs(args.runs)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            rows = ranking.build_leaderboard(records, args.metric, nsim=args.nsim, seed=args.seed)
-        finally:
-            _print_notes(caught)
+    with _notes() as caught:
+        rows = ranking.build_leaderboard(records, args.metric, nsim=args.nsim, seed=args.seed)
     dropped = [w for w in caught if issubclass(w.category, DroppedDatasetWarning)]
     print(f"{len(dropped)} dataset(s) dropped; {len(rows)} model(s) ranked", file=sys.stderr)
     io.write_leaderboard(rows, args.out, wide=args.wide)
@@ -198,12 +198,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (*_INPUT_ERRORS, ProbevalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ProbevalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _INPUT_ERRORS) else 2
 
 
 if __name__ == "__main__":

@@ -51,9 +51,7 @@ def _finite_1d(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a nonempty one-dimensional sequence")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+    return _readonly(arr.copy())
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -438,10 +436,11 @@ class ForecastBatch:
             hists = (HistogramBatch.from_forecasts(self.sources) if self.sources else
                      HistogramBatch(np.empty(0), np.empty(0), np.zeros(self.n + 1, np.intp)))
             self.__dict__["_histograms"] = hists
-            if hists.converted:
+            converted = sum(isinstance(f, QuantileForecast) and f.levels.size > 1
+                            for f in self.sources)
+            if converted:
                 warnings.warn(
-                    f"{hists.converted} quantile record(s) converted to histograms"
-                    " for density scores",
+                    f"{converted} quantile record(s) converted to histograms for density scores",
                     ConversionWarning,
                     stacklevel=4,  # the caller of score_batch, through a metric kernel
                 )
@@ -455,15 +454,13 @@ class HistogramBatch:
     Record r has bin edges ``edges[offsets[r]:offsets[r+1]]``; ``probs``
     holds each bin's mass at the position of its left edge and 0.0 at the
     last edge.  Records with no density (samples, point masses,
-    single-level quantiles) have no edges.  ``converted`` counts the
-    quantile records converted to histograms; ``by_bins`` groups the
-    records by edge count.
+    single-level quantiles) have no edges; ``by_bins`` groups the records
+    by edge count.
     """
 
     edges: np.ndarray
     probs: np.ndarray
     offsets: np.ndarray
-    converted: int = 0
     by_bins: _SizeGroups = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -472,10 +469,7 @@ class HistogramBatch:
     @classmethod
     def from_forecasts(cls, forecasts: Iterable[Forecast]) -> HistogramBatch:
         """Histograms as they are; quantiles through their level gaps."""
-        forecasts = tuple(forecasts)
-        edges, probs, offsets = _gather(forecasts, _TO_BINS)
-        converted = sum(isinstance(f, QuantileForecast) and f.levels.size > 1 for f in forecasts)
-        return cls(edges, probs, offsets, converted=converted)
+        return cls(*_gather(tuple(forecasts), _TO_BINS))
 
 
 def _form_of(forecast) -> type:

@@ -308,7 +308,7 @@ def write_scores(
                 columns.append(itertools.repeat("", len(records)))
             else:
                 columns.append("" if math.isnan(v) else repr(v) for v in map(float, values))
-        writer.writerows(zip(*columns))
+        writer.writerows(zip(*columns, strict=True))
         writer.writerow(["mean", "", *[repr(results[name].mean) for name in names]])
 
 

@@ -125,9 +125,14 @@ def aggregate_folds(records: Iterable[RunRecord], metric: str | MetricSpec) -> S
     if not complete:
         raise NotComparableError(f"no dataset has runs for every model on metric {metric!r}")
 
-    values = np.array(
-        [[math.fsum(folds[(m, d)]) / len(folds[(m, d)]) for d in complete] for m in models]
-    )
+    values = np.empty((len(models), len(complete)))
+    for i, m in enumerate(models):
+        for j, d in enumerate(complete):
+            runs = folds[(m, d)]
+            try:
+                values[i, j] = math.fsum(runs) / len(runs)
+            except OverflowError:  # the sum passes the largest float, the mean need not
+                values[i, j] = math.fsum(v / len(runs) for v in runs)
     return ScoreMatrix(
         models=tuple(models),
         datasets=tuple(complete),
@@ -300,15 +305,13 @@ def build_leaderboard(
     raw mean (better first under the metric orientation), then by average
     rank and model name for full determinism; ranks run 1..M.
     """
-    spec = resolve_metric(metric) if isinstance(metric, str) else metric
-    matrix = aggregate_folds(records, spec)
-    matrix = drop_zero_variance(matrix)
+    matrix = drop_zero_variance(aggregate_folds(records, metric))
     ranks = rank_transform(matrix)
     avg_ranks, observed = observed_statistics(ranks, matrix)
     null = permutation_null(ranks, nsim=nsim, seed=seed, chunk_size=chunk_size)
     p_values = [empirical_p(avg_ranks[m], null[:, m]) for m in range(len(matrix.models))]
 
-    sign = 1.0 if spec.orientation == LOWER_BETTER else -1.0
+    sign = 1.0 if matrix.orientation == LOWER_BETTER else -1.0
     order = sorted(
         range(len(matrix.models)),
         key=lambda m: (p_values[m], sign * observed[m], avg_ranks[m], matrix.models[m]),

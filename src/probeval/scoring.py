@@ -251,9 +251,7 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
 
 
 def _weight_integral(kind: str, a: np.ndarray, b: np.ndarray, loc: float, scale: float) -> np.ndarray:
-    """Integral of the weight function over target-axis intervals [a, b]."""
-    if kind == "unit":
-        return b - a
+    """Integral of a Gaussian weight function over target-axis intervals [a, b]."""
     # _ndtr gives scipy.special.ndtr's bits, so these integrals keep the bytes
     # that tests/data/scores_golden.csv pins without importing scipy.
     za = (a - loc) / scale
@@ -326,20 +324,23 @@ def interval_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: Metri
 
 def wcrps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
     """wCRPS; without an explicit reference the weights center on the
-    whole batch's target mean and population standard deviation."""
-    if spec.weight_loc is None:
-        loc, scale = float(np.mean(targets)), float(np.std(targets))
-        if scale <= 0.0:
-            raise InvalidScaleError(
-                "batch targets have zero spread; pass an explicit weight reference"
-            )
-    else:
+    whole batch's target mean and population standard deviation.  The unit
+    weight (also an unset ``weight_kind``) reads no reference: it is CRPS."""
+    kind = spec.weight_kind or "unit"
+    if spec.weight_loc is not None:
         loc, scale = float(spec.weight_loc), float(spec.weight_scale)
         if not (math.isfinite(loc) and math.isfinite(scale)):
             raise InvalidScaleError(f"weight reference must be finite, got {loc}, {scale}")
         if scale <= 0.0:
             raise InvalidScaleError(f"weight scale must be > 0, got {scale}")
-    kind = spec.weight_kind or "unit"
+    elif kind != "unit":
+        loc, scale = float(np.mean(targets)), float(np.std(targets))
+        if scale <= 0.0:
+            raise InvalidScaleError(
+                "batch targets have zero spread; pass an explicit weight reference"
+            )
+    if kind == "unit":
+        return crps_kernel(batch, targets, spec)
 
     def integrand(left, width, cdf, above):
         diff = cdf - above
@@ -519,7 +520,7 @@ def wcrps(f: DiscreteForecast, y: float, spec: MetricSpec) -> float:
     """Weighted CRPS with standard-normal climatological weights.
 
     ``spec.weight_kind`` selects w(z) = 1 - cdf(z) (left tail), cdf(z)
-    (right tail), pdf(z) (center), or 1 (unit, recovering plain CRPS);
+    (right tail), pdf(z) (center), or 1 (unit, which is :func:`crps`);
     z = (x - weight_loc) / weight_scale, with loc 0 and scale 1 where the
     spec leaves them unset.  The squared CDF term is constant per segment,
     so only the weight needs integrating, which is done with the exact
@@ -633,6 +634,10 @@ def score_batch(
             rec_id = getattr(records[exc.index], "id", exc.index)
             raise OutsideSupportError(f"record {rec_id!r}: {exc}") from exc
         if isinstance(value, np.ndarray):
+            if value.shape != (batch.n,):
+                raise ValueError(
+                    f"metric {name!r}: kernel returned shape {value.shape} for {batch.n} records"
+                )
             defined = ~np.isnan(value)
             if defined.any():
                 results[name] = ScoreResult(name, value, float(np.mean(value[defined])))

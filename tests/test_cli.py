@@ -353,6 +353,17 @@ CONSTANT_TARGETS = [
 ]
 
 
+# a's folds on x sum past the largest float; their mean is 1.7e308.
+OVERFLOWING_FOLDS = """model,dataset,fold,metric,value
+a,x,0,crps,1.7e308
+a,x,1,crps,1.7e308
+a,y,0,crps,1.0
+b,x,0,crps,1.0
+b,x,1,crps,2.0
+b,y,0,crps,2.0
+"""
+
+
 class TestErrorPaths:
     """Each error names its cause on stderr, with its exit code and no traceback."""
 
@@ -401,6 +412,16 @@ class TestErrorPaths:
             "error: batch targets have zero spread; pass an explicit weight reference\n"
         )
         assert not out.exists()
+
+    def test_fold_sum_past_the_largest_float(self, tmp_path, capsys):
+        path = self.write(tmp_path, "runs.csv", OVERFLOWING_FOLDS)
+        out = tmp_path / "lb.csv"
+        assert run_cli("leaderboard", "--runs", path, "--metric", "crps", "--seed", 7,
+                       "--wide", "--out", out) == 0
+        assert capsys.readouterr().err == "0 dataset(s) dropped; 2 model(s) ranked\n"
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()]
+        observed = rows[0].index("Observed-full")
+        assert {row[1]: row[observed] for row in rows[1:]} == {"a": "8.5e+307", "b": "1.75"}
 
 
 class TestValidateCommand:

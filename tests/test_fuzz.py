@@ -19,7 +19,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from probeval import QuantileForecast, SampleForecast, io, synth
@@ -66,7 +66,7 @@ json_junk = st.sampled_from([
 raw_junk = st.sampled_from([BIG_INT, f"[{BIG_INT}]", DEEP, "[" * 900 + "]" * 900, "1e999", "-0"])
 csv_junk = st.sampled_from([
     "", "x", "-1", "1.5", "nan", "inf", "1e999", BIG_INT, "1" + "0" * 5000, "x" * 140_000,
-    '"', 'a"b', '"a\nb"', "\x00", "a,b", " 1",
+    '"', 'a"b', '"a\nb"', "\x00", "a,b", " 1", "1.7e308",
 ])
 bad_bytes = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\x00", b"\r", b"\n"])
 
@@ -199,6 +199,9 @@ def test_forecast_files(data):
 
 @FUZZ_SETTINGS
 @given(mutated_files(RUN_LINES, csv_mutation))
+# One model's folds on one dataset sum past the largest float.
+@example(b"model,dataset,fold,metric,value\na,x,0,crps,1.7e308\na,x,1,crps,1.7e308\n"
+         b"a,y,0,crps,1.0\nb,x,0,crps,1.0\nb,x,1,crps,2.0\nb,y,0,crps,2.0\n")
 def test_run_files(data):
     check_file(data, leaderboard_command, "--runs", io.read_runs, io.validate_run_file)
 

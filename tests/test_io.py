@@ -127,9 +127,19 @@ class TestReadForecasts:
         path = tmp_path / "rt.jsonl"
         write_forecasts(records, path)
         back = read_forecasts(path)
-        assert [r.id for r in back] == ["h", "q", "s"]
-        np.testing.assert_array_equal(back[0].forecast.edges, [0, 1, 2])
-        np.testing.assert_array_equal(back[1].forecast.values, [-1.0, 1.0])
+        assert [(r.id, r.target, type(r.forecast)) for r in back] == [
+            (r.id, r.target, type(r.forecast)) for r in records
+        ]
+        fields = {"h": ("edges", "probs"), "q": ("levels", "values"), "s": ("values",)}
+        for rec, got in zip(records, back):
+            for name in fields[rec.id]:
+                assert getattr(got.forecast, name).tobytes() == getattr(rec.forecast, name).tobytes()
+
+    def test_point_masses_are_not_serialized(self, tmp_path):
+        records = [ForecastRecord("d", 0.0, DiscreteForecast([0.0, 1.0], [0.5, 0.5]))]
+        with pytest.raises(TypeError) as info:
+            write_forecasts(records, tmp_path / "d.jsonl")
+        assert str(info.value) == "cannot serialize forecast of type DiscreteForecast"
 
 
 class TestReadRuns:
@@ -273,6 +283,15 @@ class TestWriteScores:
             lines.append(",".join(cells))
         lines.append(",".join(["mean", ""] + [repr(r.mean) for r in results.values()]))
         assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
+
+    def test_columns_of_unequal_length_are_an_error(self, tmp_path):
+        from probeval import score_batch
+
+        records = [ForecastRecord(str(i), 0.0, DiscreteForecast([0.0, 1.0], [0.5, 0.5]))
+                   for i in range(3)]
+        results = score_batch(records, ["crps"])
+        with pytest.raises(ValueError, match="shorter"):
+            write_scores(records[:2] + records, results, tmp_path / "scores.csv")
 
 
 class TestValidators:

@@ -58,6 +58,13 @@ class TestAggregateFolds:
         matrix = aggregate_folds(records, "crps")
         assert matrix.values[0, 0] == 0.5
 
+    def test_fold_sum_past_the_largest_float(self):
+        # math.fsum of a's folds overflows; their mean does not.
+        records = [RunRecord("a", "x", k, "crps", 1.7e308) for k in range(2)]
+        records += [RunRecord("b", "x", 0, "crps", 1.0), RunRecord("b", "x", 1, "crps", 2.0)]
+        matrix = aggregate_folds(records, "crps")
+        assert matrix.values.tolist() == [[1.7e308], [1.5]]
+
     def test_incomplete_dataset_dropped_with_warning(self):
         records = [
             RunRecord("a", "x", 0, "crps", 1.0),

@@ -327,6 +327,19 @@ class TestWcrps:
         assert wcrps(TWO_POINT, 0.0, bare) == wcrps(TWO_POINT, 0.0, replace(
             spec, weight_loc=0.0, weight_scale=1.0))
 
+    def test_unit_weight_is_crps_on_constant_targets(self):
+        # The unit weight reads no batch reference, so zero spread is no error.
+        records = [ForecastRecord(str(i), 1.0, f) for i, f in enumerate(
+            [TWO_POINT, DiscreteForecast([0.5, 2.0, 3.0], [0.2, 0.5, 0.3]), SampleForecast([1.0])])]
+        results = score_batch(records, ["crps", MetricSpec("u", weight_kind="unit")])
+        assert results["u"].values.tobytes() == results["crps"].values.tobytes()
+
+    def test_unit_weight_still_checks_an_explicit_reference(self):
+        spec = MetricSpec("u", weight_kind="unit", weight_loc=0.0, weight_scale=-1.0)
+        records = [ForecastRecord(str(i), 1.0, TWO_POINT) for i in range(3)]
+        with pytest.raises(InvalidScaleError, match="weight scale must be > 0"):
+            score_batch(records, [spec])
+
     @pytest.mark.parametrize("loc, scale", [(math.nan, 1.0), (0.0, math.inf), (math.inf, 1.0)])
     def test_non_finite_reference(self, loc, scale):
         spec = MetricSpec("wcrps_left", weight_kind="left", weight_loc=loc, weight_scale=scale)
@@ -526,6 +539,26 @@ class TestScoreBatch:
         assert results["mean_error"].values.tolist() == [-0.5, 1.25]
         assert results["coverage_80"].values.tolist() == [1.0, 0.0]
         assert results["crps"].mean == score_batch(records, ["crps"])["crps"].mean
+
+    def test_kernel_result_of_the_wrong_shape_is_an_error(self):
+        records = [ForecastRecord(str(i), 0.0, TWO_POINT) for i in range(3)]
+        short = MetricSpec("short", kernel=lambda b, t, s: np.zeros(b.n - 1))
+        with pytest.raises(ValueError) as info:
+            score_batch(records, ["crps", short])
+        assert str(info.value) == "metric 'short': kernel returned shape (2,) for 3 records"
+
+    def test_conversion_note_counts_quantile_records_of_two_levels_or_more(self):
+        records = [
+            ForecastRecord("q1", 0.0, QuantileForecast([0.5], [0.0])),
+            ForecastRecord("q2", 0.0, QuantileForecast([0.25, 0.75], [-1.0, 1.0])),
+            ForecastRecord("h", 0.5, HistogramForecast([0.0, 1.0], [1.0])),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            score_batch(records, ["log_score"])
+        assert [str(w.message) for w in caught] == [
+            "1 quantile record(s) converted to histograms for density scores"
+        ]
 
     def test_spec_without_kernel_is_unknown(self):
         records = [ForecastRecord("a", 0.0, DiscreteForecast([0.0], [1.0]))]
