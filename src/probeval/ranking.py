@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, NamedTuple
@@ -63,6 +63,70 @@ class RunRecord(NamedTuple):
     value: float
 
 
+class _Codes(dict):
+    """Names to integer codes; a name not seen before takes the next code."""
+
+    def __missing__(self, name):
+        self[name] = code = len(self)
+        return code
+
+
+def _intern(column: Sequence, codes: _Codes) -> np.ndarray:
+    """The code of each item of ``column``."""
+    return np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
+
+
+@dataclass(frozen=True, eq=False)
+class RunTable(Sequence):
+    """Run records held as columns: a read-only sequence of :class:`RunRecord`.
+
+    Each of model, dataset, fold and metric is a tuple of distinct names
+    and an integer code array indexing it, one code per run; ``values``
+    holds the float64 values.  Indexing and iteration build the records.
+    """
+
+    models: tuple
+    datasets: tuple
+    folds: tuple
+    metrics: tuple
+    model_codes: np.ndarray
+    dataset_codes: np.ndarray
+    fold_codes: np.ndarray
+    metric_codes: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.model_codes, self.dataset_codes, self.fold_codes,
+                      self.metric_codes, self.values):
+            array.flags.writeable = False
+
+    @classmethod
+    def from_records(cls, records: Iterable[RunRecord]) -> RunTable:
+        """The table of any iterable of records, names interned in first-seen order."""
+        rows = [(r.model, r.dataset, r.fold, r.metric, r.value) for r in records]
+        *names, values = zip(*rows) if rows else ((),) * 5
+        indexes = [_Codes(), _Codes(), _Codes(), _Codes()]
+        codes = [_intern(column, index) for column, index in zip(names, indexes)]
+        return cls(*map(tuple, indexes), *codes, np.array(values, dtype=float))
+
+    def _columns(self):
+        return ((self.models, self.model_codes), (self.datasets, self.dataset_codes),
+                (self.folds, self.fold_codes), (self.metrics, self.metric_codes))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return RunRecord(*(names[codes[i]] for names, codes in self._columns()),
+                         float(self.values[i]))
+
+    def __iter__(self):
+        columns = [map(names.__getitem__, codes.tolist()) for names, codes in self._columns()]
+        return map(RunRecord, *columns, self.values.tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Fold-averaged scores, models by datasets, with metric orientation."""
@@ -93,6 +157,7 @@ class LeaderboardRow:
 def aggregate_folds(records: Iterable[RunRecord], metric: str | MetricSpec) -> ScoreMatrix:
     """Average folds into one score per (model, dataset) for one metric.
 
+    ``records`` is a :class:`RunTable` or any iterable of run records.
     ``metric`` is a built-in identifier or a :class:`MetricSpec`, whose
     name selects the run records and whose orientation the matrix takes.
     Datasets on which any model is missing are dropped (complete-case)
@@ -101,44 +166,58 @@ def aggregate_folds(records: Iterable[RunRecord], metric: str | MetricSpec) -> S
     """
     spec = resolve_metric(metric) if isinstance(metric, str) else metric
     metric = spec.name
-    rows = [r for r in records if r.metric == metric]
-    if not rows:
+    table = records if isinstance(records, RunTable) else RunTable.from_records(records)
+    if metric not in table.metrics:
         raise NotComparableError(f"no run records for metric {metric!r}")
-    models = sorted({r.model for r in rows})
+    rows = table.metric_codes == table.metrics.index(metric)
+    models, model_of = _sorted_names(table.models, table.model_codes[rows])
     if len(models) < 2:
         raise NotComparableError(f"need at least 2 models for metric {metric!r}, found {len(models)}")
-    folds: dict[tuple[str, str], list[float]] = defaultdict(list)
-    for r in rows:
-        folds[(r.model, r.dataset)].append(r.value)
+    datasets, dataset_of = _sorted_names(table.datasets, table.dataset_codes[rows])
 
-    complete = []
-    for d in sorted({r.dataset for r in rows}):
-        missing = [m for m in models if (m, d) not in folds]
-        if missing:
-            warnings.warn(
-                f"dataset {d!r} dropped: no runs for {', '.join(missing)}",
-                DroppedDatasetWarning,
-                stacklevel=2,
-            )
-        else:
-            complete.append(d)
-    if not complete:
+    # One group of runs per (model, dataset) cell, model-major.  fsum is
+    # exact, so the order of the runs within a group changes no byte.
+    cell = model_of * len(datasets) + dataset_of
+    order = np.argsort(cell)
+    cell = cell[order]
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    values = table.values[rows][order].tolist()
+    means = []
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(values)]):
+        runs = values[lo:hi]
+        try:
+            means.append(math.fsum(runs) / len(runs))
+        except OverflowError:  # the sum passes the largest float, the mean need not
+            means.append(math.fsum(v / len(runs) for v in runs))
+    grid = np.empty((len(models), len(datasets)))
+    present = np.zeros(grid.shape, dtype=bool)
+    grid.flat[cell[starts]] = means
+    present.flat[cell[starts]] = True
+
+    complete = present.all(axis=0)
+    for j in np.flatnonzero(~complete).tolist():
+        missing = compress(models, ~present[:, j])
+        warnings.warn(
+            f"dataset {datasets[j]!r} dropped: no runs for {', '.join(missing)}",
+            DroppedDatasetWarning,
+            stacklevel=2,
+        )
+    if not complete.any():
         raise NotComparableError(f"no dataset has runs for every model on metric {metric!r}")
-
-    values = np.empty((len(models), len(complete)))
-    for i, m in enumerate(models):
-        for j, d in enumerate(complete):
-            runs = folds[(m, d)]
-            try:
-                values[i, j] = math.fsum(runs) / len(runs)
-            except OverflowError:  # the sum passes the largest float, the mean need not
-                values[i, j] = math.fsum(v / len(runs) for v in runs)
     return ScoreMatrix(
-        models=tuple(models),
-        datasets=tuple(complete),
-        values=values,
+        models=models,
+        datasets=tuple(compress(datasets, complete)),
+        values=grid[:, complete],
         orientation=spec.orientation,
     )
+
+
+def _sorted_names(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The names ``codes`` uses, sorted, and each code's position among them."""
+    used = sorted(np.unique(codes).tolist(), key=names.__getitem__)
+    position = np.empty(len(names), dtype=np.intp)
+    position[used] = np.arange(len(used))
+    return tuple(names[c] for c in used), position[codes]
 
 
 def drop_zero_variance(matrix: ScoreMatrix) -> ScoreMatrix:
@@ -191,9 +270,16 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 def observed_statistics(ranks: np.ndarray, matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-model (average rank, mean raw score) across datasets."""
-    if ranks.shape != matrix.values.shape:
+    values = matrix.values
+    if ranks.shape != values.shape:
         raise ValueError("ranks and matrix shapes differ")
-    return ranks.mean(axis=1), matrix.values.mean(axis=1)
+    with np.errstate(over="ignore"):
+        observed = values.mean(axis=1)
+    # Where a sum of finite scores passes the largest float, divide first.
+    redo = ~np.isfinite(observed) & np.isfinite(values).all(axis=1)
+    if redo.any():
+        observed[redo] = (values[redo] / values.shape[1]).sum(axis=1)
+    return ranks.mean(axis=1), observed
 
 
 def permutation_null(
@@ -224,17 +310,28 @@ def permutation_null(
         chunk = max(1, int(chunk_size))
     columns = np.ascontiguousarray(ranks.T)
     slots = np.arange(n_models, dtype=np.uint64)
+    # Every key of dataset d hashes (seed, stream, d) first.
+    prefixes = rng.counter_hash(seed, _SHUFFLE_STREAM, np.arange(n_datasets, dtype=np.uint64))
     out = np.empty((nsim, n_models))
 
     def fill(lo: int) -> None:
         # Each chunk owns its rows of ``out`` and adds the datasets in
-        # order, so no byte depends on the split or the thread.
+        # order, so no byte depends on the split or the thread.  Its
+        # temporaries are allocated once and reused for every dataset.
         sums = out[lo : lo + chunk]
         sums[...] = 0.0
-        sims = np.arange(lo, lo + len(sums), dtype=np.uint64)[:, None]
+        rows = len(sums)
+        sims = np.arange(lo, lo + rows, dtype=np.uint64)[:, None]
+        sim_keys, sim_scratch = np.empty((2, rows, 1), dtype=np.uint64)
+        keys, scratch, packed = np.empty((3, rows, n_models), dtype=np.uint64)
+        gaps = np.empty(max(rows * n_models - 1, 0), dtype=np.uint64)
+        near = np.empty(gaps.shape, dtype=bool)
+        gathered = np.empty((rows, n_models))
         for d, column in enumerate(columns):
-            keys = rng.counter_hash(seed, _SHUFFLE_STREAM, d, sims, slots)
-            sums += column[_stable_order(keys)]
+            rng._step(prefixes[d : d + 1], sims, sim_keys, sim_scratch)
+            rng._step(sim_keys, slots, keys, scratch)
+            order = _stable_order(keys, packed, gaps, near)
+            sums += column.take(order, out=gathered, mode="clip")
         sums /= n_datasets
 
     from concurrent.futures import ThreadPoolExecutor
@@ -245,7 +342,9 @@ def permutation_null(
     return out
 
 
-def _stable_order(keys: np.ndarray) -> np.ndarray:
+def _stable_order(
+    keys: np.ndarray, packed: np.ndarray, gaps: np.ndarray, near: np.ndarray
+) -> np.ndarray:
     """``np.argsort(keys, axis=1, kind="stable")`` of uint64 keys, by sorting values.
 
     The low b = (M - 1).bit_length() bits of each of a row's M keys are
@@ -253,20 +352,24 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     slots are read back from the low bits.  That is the stable argsort
     order unless two keys of a row agree above the low bits; such rows
     (for hashed keys, a share of about M**2 / 2**(65 - b)) are argsorted.
+    The caller's buffers hold the work: ``packed`` is shaped like
+    ``keys`` and becomes the returned order, and ``gaps`` (uint64) and
+    ``near`` (bool) have one element fewer than ``keys``.
     """
     n = keys.shape[1]
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    packed = keys & ~low
+    np.bitwise_and(keys, ~low, out=packed)
     packed |= np.arange(n, dtype=np.uint64)
     packed.sort(axis=1)
     # Neighbours are compared across row ends too, which can only send a
     # row to the argsort needlessly.
     flat = packed.ravel()
-    near = np.flatnonzero((flat[1:] ^ flat[:-1]) <= low)
+    np.bitwise_xor(flat[1:], flat[:-1], out=gaps)
+    np.less_equal(gaps, low, out=near)
     packed &= low
     order = packed.view(np.int64)
-    if near.size:
-        tied = np.unique(near // n)
+    if near.any():
+        tied = np.unique(np.flatnonzero(near) // n)
         order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
     return order
 

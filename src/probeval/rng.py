@@ -15,18 +15,29 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _WORD = 1 << 64
 
 
-def _finalize(x: np.ndarray) -> np.ndarray:
+def _finalize(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     # SplitMix64 finalizer, in place on ``x``, which the caller owns; uint64
-    # array arithmetic wraps modulo 2**64.  One scratch buffer holds each
-    # shifted copy, so a stream allocates a single temporary.
-    shifted = np.empty_like(x)
+    # array arithmetic wraps modulo 2**64.  ``scratch``, shaped like ``x``,
+    # holds each shifted copy.
     for shift, mult in ((np.uint64(30), _MULT1), (np.uint64(27), _MULT2)):
-        np.right_shift(x, shift, out=shifted)
-        x ^= shifted
+        np.right_shift(x, shift, out=scratch)
+        x ^= scratch
         x *= mult
-    np.right_shift(x, np.uint64(31), out=shifted)
-    x ^= shifted
+    np.right_shift(x, np.uint64(31), out=scratch)
+    x ^= scratch
     return x
+
+
+def _step(h: np.ndarray, stream, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """One stream of :func:`counter_hash`: ``out = finalize((h + GAMMA) ^ stream)``.
+
+    ``h`` (an array, so that the addition wraps silently where a numpy
+    scalar would warn) and ``stream`` broadcast to the shape of ``out``;
+    ``scratch`` has that shape too.  Nothing is allocated.
+    """
+    np.add(h, _GAMMA, out=out)
+    out ^= stream
+    return _finalize(out, scratch)
 
 
 def counter_hash(seed: int, *streams) -> np.ndarray:
@@ -36,12 +47,12 @@ def counter_hash(seed: int, *streams) -> np.ndarray:
     against each other like ordinary numpy operands, so callers can
     request whole blocks of draws in one call.
     """
-    h = _finalize(np.asarray([seed % _WORD], dtype=np.uint64))
+    h = np.asarray([seed % _WORD], dtype=np.uint64)
+    h = _finalize(h, np.empty_like(h))
     for stream in streams:
         arr = np.asarray(stream, dtype=np.uint64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        h = _finalize((h + _GAMMA) ^ arr)
+        out = np.empty(np.broadcast_shapes(h.shape, arr.shape), dtype=np.uint64)
+        h = _step(h, arr, out, np.empty_like(out))
     return h
 
 

@@ -6,11 +6,13 @@ loops over segments, the full double sum for the energy score,
 ``np.unique`` for the conversions.  The property tests check the batch
 kernels of ``probeval`` against these.  ``permutation_null`` is the Monte
 Carlo null as first written, a stable argsort per row of hash keys, and
-``exact_p`` is its exact limit.
+``exact_p`` is its exact limit.  ``read_runs`` and ``validate_run_file``
+parse a run-record CSV one row at a time, as the reader was first written.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 from fractions import Fraction
@@ -19,7 +21,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from probeval import DiscreteForecast, HistogramForecast, QuantileForecast, SampleForecast, rng
-from probeval.ranking import _SHUFFLE_STREAM
+from probeval.errors import DuplicateKeyError, InvalidValueError, RecordParseError
+from probeval.io import RUNS_HEADER, Violation
+from probeval.ranking import _SHUFFLE_STREAM, RunRecord
 
 EPS = 1e-12
 
@@ -225,3 +229,87 @@ def exact_p(ranks, model) -> Fraction:
     observed = int(twice[model].sum())
     at_most = sum(ways for total, ways in counts.items() if total <= observed)
     return Fraction(at_most, n_models**n_datasets)
+
+
+def _parse_run(row, line_no, seen):
+    """Turn one CSV data row into its run record, or raise; ``seen`` maps keys to lines."""
+    try:
+        model, dataset, fold_s, metric, value_s = row
+    except ValueError:
+        raise RecordParseError(line_no, f"expected 5 columns, got {len(row)}") from None
+    try:
+        fold = int(fold_s)
+    except ValueError:
+        raise RecordParseError(line_no, f"fold must be an integer, got {fold_s!r}") from None
+    if fold < 0:
+        raise RecordParseError(line_no, f"fold must be nonnegative, got {fold}")
+    try:
+        value = float(value_s)
+    except ValueError:
+        raise RecordParseError(line_no, f"value must be a number, got {value_s!r}") from None
+    if not math.isfinite(value):
+        raise InvalidValueError(line_no, f"non-finite value {value_s!r}")
+    key = (model, dataset, fold, metric)
+    first = seen.setdefault(key, line_no)
+    if first != line_no:
+        raise DuplicateKeyError(line_no, f"duplicate run key {key} (first seen on line {first})")
+    return RunRecord(model, dataset, fold, metric, value)
+
+
+def _scan_runs(path):
+    """Yield the record or error of each non-blank data row; raise a bad header."""
+    seen = {}
+    skipped = 0
+    with open(path, "rb") as fh:
+        reader = csv.reader(map(bytes.decode, fh))
+        while True:
+            line_no = reader.line_num + skipped + 1
+            try:
+                row = next(reader)
+                if line_no > 1:
+                    if row:
+                        yield _parse_run(row, line_no, seen)
+                elif tuple(row) != RUNS_HEADER:
+                    raise RecordParseError(
+                        1, f"header must be {','.join(RUNS_HEADER)}, got {','.join(row)}"
+                    )
+            except StopIteration:
+                if line_no == 1:
+                    raise RecordParseError(1, "empty run file; expected a header row") from None
+                return
+            except UnicodeDecodeError as exc:
+                skipped += 1
+                error = RecordParseError(reader.line_num + skipped, f"not valid UTF-8: {exc}")
+            except csv.Error as exc:
+                error = RecordParseError(reader.line_num + skipped, f"malformed CSV: {exc}")
+            except RecordParseError as exc:
+                error = exc
+            else:
+                continue
+            if line_no == 1:
+                raise error
+            yield error
+
+
+def read_runs(path):
+    """The run records of a file, or its first malformed row raised."""
+    records = []
+    for result in _scan_runs(path):
+        if isinstance(result, RecordParseError):
+            raise result
+        records.append(result)
+    return records
+
+
+def validate_run_file(path):
+    """(data rows seen, violations) of a run-record file."""
+    violations = []
+    n_rows = 0
+    try:
+        for record in _scan_runs(path):
+            n_rows += 1
+            if isinstance(record, RecordParseError):
+                violations.append(Violation(record.line, record.message))
+    except RecordParseError as exc:
+        violations.append(Violation(exc.line, exc.message))
+    return n_rows, violations

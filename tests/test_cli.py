@@ -133,6 +133,21 @@ class TestLeaderboardCommand:
                        "--nsim", 10, "--seed", 1, "--out", tmp_path / "lb.csv")
         assert code == 2
 
+    def test_raw_mean_past_the_largest_float_is_written_without_a_note(self, tmp_path, capsys):
+        runs = tmp_path / "huge.csv"
+        runs.write_text(
+            "model,dataset,fold,metric,value\n"
+            "a,x,0,crps,1.7e308\na,y,0,crps,1.7e308\nb,x,0,crps,1.0\nb,y,0,crps,2.0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "lb.csv"
+        assert run_cli("leaderboard", "--runs", runs, "--metric", "crps", "--seed", 7,
+                       "--wide", "--out", out) == 0
+        assert "note:" not in capsys.readouterr().err
+        header, *rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()]
+        observed = {row[1]: row[header.index("Observed-full")] for row in rows}
+        assert observed == {"a": "1.7e+308", "b": "1.5"}
+
     def test_dropped_dataset_notes_come_before_the_error(self, tmp_path, capsys):
         runs = tmp_path / "disjoint.csv"
         runs.write_text(

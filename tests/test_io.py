@@ -1,8 +1,16 @@
+import csv
+import io as text_io
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracle
+from probeval import io
 from probeval import (
     DiscreteForecast,
     HistogramForecast,
@@ -26,9 +34,11 @@ from probeval.errors import (
     AmbiguousFormError,
     DuplicateKeyError,
     InvalidValueError,
+    ProbevalError,
     RecordParseError,
     UnknownFormError,
 )
+from probeval.ranking import aggregate_folds
 
 
 def write_lines(path, lines):
@@ -150,7 +160,7 @@ class TestReadRuns:
             "a,x,0,crps,1.5",
             "b,x,0,crps,2.5",
         ])
-        records = read_runs(path)
+        records = list(read_runs(path))
         assert records == [RunRecord("a", "x", 0, "crps", 1.5), RunRecord("b", "x", 0, "crps", 2.5)]
 
     def test_duplicate_key(self, tmp_path):
@@ -189,7 +199,101 @@ class TestReadRuns:
         ]
         path = tmp_path / "rt.csv"
         write_runs(records, path)
-        assert read_runs(path) == records
+        assert list(read_runs(path)) == records
+
+
+BIG_INT = "1" + "0" * 400
+
+# Fields that need quoting, and folds and values that Python's int() and
+# float() read differently from numpy.  Few names, so that keys repeat.
+run_names = st.sampled_from(["a", "b", "a,b", "x\ny", "x\r\ny", 'q"t', "a\x00", "é"])
+good_folds = st.sampled_from(["0", "1", "2", "7", "007", " 3", "1_0", "-0", BIG_INT])
+good_values = st.sampled_from(["1.5", "-2", "0.1", "1.7e308", "-0.0", " 1", "1_0", "1E-300"])
+bad_folds = st.sampled_from(["-1", "x", "", "1.0", "1" + "0" * 5000])
+bad_values = st.sampled_from(["1e400", "nan", "inf", "x", "", BIG_INT, "0x10"])
+junk_lines = st.sampled_from([
+    b"\n", b"\r\n", b"a,x\xff,0,crps,1\n", b"\xc3\n", b'a,"x,0,crps,1\n', b"a,x\rb,0,crps,1\n",
+    b"m," + b"x" * 140_000 + b",0,crps,1\n", b"a,x,0,crps\n", b"a,x,0,crps,1,z\n",
+])
+
+
+@st.composite
+def run_row(draw, junk: bool) -> bytes:
+    """A CSV row of five fields, with a bad fold or value when ``junk``."""
+    fold, value = draw(good_folds), draw(good_values)
+    if junk:
+        fold, value = draw(st.sampled_from([(fold, draw(bad_values)), (draw(bad_folds), value),
+                                            (draw(bad_folds), draw(bad_values))]))
+    fields = [draw(run_names), draw(run_names), fold, draw(st.sampled_from(["crps", "mae"])), value]
+    out = text_io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerow(fields)
+    return out.getvalue().encode("utf-8")
+
+
+@st.composite
+def run_files(draw) -> bytes:
+    """A run file; in about half the files every row reads."""
+    header = b"model,dataset,fold,metric,value\n"
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.sampled_from([b"model,dataset,fold,metric,value\r\n",
+                                       b"model,dataset,value\n", b"\n", b"", b"model\xff\n"]))
+    lines = draw(st.lists(run_row(junk=False), max_size=20))
+    if draw(st.booleans()):
+        lines += draw(st.lists(st.one_of(run_row(junk=True), junk_lines), max_size=10))
+        # Repeat some lines, good and bad, to make duplicate keys.
+        lines += draw(st.lists(st.sampled_from(lines), max_size=5) if lines else st.just([]))
+        lines = draw(st.permutations(lines))
+    return header + b"".join(lines)
+
+
+def outcome(read, path):
+    """The records a reader returns, or the class, line and message of its error."""
+    try:
+        return [repr(record) for record in read(path)]
+    except RecordParseError as exc:
+        return type(exc), exc.line, exc.message
+
+
+def aggregated(records):
+    """aggregate_folds' matrix bytes and warnings, or its error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            matrix = aggregate_folds(records, "crps")
+        except ProbevalError as exc:
+            result = type(exc), str(exc)
+        else:
+            result = matrix.models, matrix.datasets, matrix.values.tobytes()
+    return result, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+class TestRunReaderMatchesTheRowOracle:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(data=run_files(), block=st.sampled_from([1, 2, 3, io._RUN_BLOCK]))
+    def test_records_errors_and_violations(self, tmp_path_factory, data, block):
+        # Small blocks put block boundaries between the rows a check compares.
+        path = tmp_path_factory.mktemp("runs") / "runs.csv"
+        path.write_bytes(data)
+        with mock.patch.object(io, "_RUN_BLOCK", block):
+            got = outcome(read_runs, path)
+            assert got == outcome(oracle.read_runs, path)
+            assert validate_run_file(path) == oracle.validate_run_file(path)
+            if isinstance(got, list):
+                table = read_runs(path)
+                assert aggregated(table) == aggregated(list(table))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c,d"]), st.sampled_from(["x", "y", "z"]),
+                              st.integers(0, 3), st.sampled_from(["crps", "crps", "mae"]),
+                              st.sampled_from([0.5, -1.25, 0.1, 1.7e308, -1.7e308, 3.0, 0.0])),
+                    max_size=40, unique_by=lambda row: row[:4]))
+    def test_a_read_table_aggregates_like_its_records(self, tmp_path_factory, rows):
+        records = [RunRecord(*row) for row in rows]
+        path = tmp_path_factory.mktemp("runs") / "runs.csv"
+        write_runs(records, path)
+        table = read_runs(path)
+        assert aggregated(table) == aggregated(list(table)) == aggregated(records)
 
 
 class TestWriteLeaderboard:
@@ -290,8 +394,11 @@ class TestWriteScores:
         records = [ForecastRecord(str(i), 0.0, DiscreteForecast([0.0, 1.0], [0.5, 0.5]))
                    for i in range(3)]
         results = score_batch(records, ["crps"])
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"an earlier table\n")
         with pytest.raises(ValueError, match="shorter"):
-            write_scores(records[:2] + records, results, tmp_path / "scores.csv")
+            write_scores(records[:2] + records, results, path)
+        assert path.read_bytes() == b"an earlier table\n"
 
 
 class TestValidators:

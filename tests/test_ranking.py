@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
+import threading
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +194,37 @@ class TestObservedStatistics:
         avg_ranks, _ = observed_statistics(rank_transform(matrix), matrix)
         assert float(np.mean(avg_ranks)) == pytest.approx(3.0, abs=1e-12)
 
+    def test_raw_mean_past_the_largest_float_divides_first(self):
+        values = np.array([[1.7e308, 1.7e308], [1.0, 2.0], [np.inf, 1.0]])
+        matrix = ScoreMatrix(("a", "b", "c"), ("x", "y"), values, LOWER_BETTER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, observed = observed_statistics(np.ones((3, 2)), matrix)
+        assert observed.tolist() == [1.7e308, 1.5, np.inf]
+
+
+class TestHashStep:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+           datasets=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+           sims=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+           models=st.integers(1, 9))
+    def test_in_place_steps_are_counter_hash(self, seed, stream, datasets, sims, models):
+        # As the null takes them: every dataset's prefix at once, then per
+        # dataset a block of simulations and its slots, into reused buffers.
+        sims = np.array(sims, dtype=np.uint64)[:, None]
+        slots = np.arange(models, dtype=np.uint64)
+        prefixes = rng.counter_hash(seed, stream, np.array(datasets, dtype=np.uint64))
+        sim_keys, sim_scratch = np.empty((2, len(sims), 1), dtype=np.uint64)
+        keys, scratch = np.empty((2, len(sims), models), dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, dataset in enumerate(datasets):
+                rng._step(prefixes[d : d + 1], sims, sim_keys, sim_scratch)
+                rng._step(sim_keys, slots, keys, scratch)
+                want = rng.counter_hash(seed, stream, dataset, sims, slots)
+                assert keys.tobytes() == want.tobytes()
+
 
 class TestPermutationNull:
     def test_single_model_is_degenerate(self):
@@ -227,6 +263,26 @@ class TestPermutationNull:
             np.testing.assert_array_equal(
                 permutation_null(ranks, nsim=500, seed=4, chunk_size=chunk), full
             )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux fault accounting")
+    def test_a_fresh_process_faults_its_temporaries_in_once(self):
+        # Temporaries allocated per dataset would be faulted in again for
+        # each of the 160 datasets (about 230,000 faults), since nothing big
+        # has been allocated before in a fresh interpreter.
+        code = """
+import resource
+import numpy as np
+from probeval import ranking
+ranks = np.argsort(np.random.default_rng(0).random((20, 160)), axis=0) + 1.0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+ranking.permutation_null(ranks, nsim=20_000, seed=7)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert int(done.stdout) < 50_000
 
     def test_no_datasets_is_an_error(self):
         with pytest.raises(ValueError, match="dataset"):
@@ -271,20 +327,29 @@ class TestPermutationNull:
         assert got.tobytes() == oracle.permutation_null(ranks, nsim=3000, seed=8).tobytes()
 
     def test_rows_whose_keys_agree_above_the_low_bits_fall_back_to_argsort(self, monkeypatch):
-        real_hash = rng.counter_hash
-
-        def colliding_hash(seed, *streams):
+        def collide(keys, sims, slots):
             # In odd simulations every key of a row shares its high bits, and
             # the 3 low bits of six slots hold (3 * slot + sim) % 4, which
             # repeats: only a stable argsort of the full keys orders the row.
-            keys = real_hash(seed, *streams)
-            sims, slots = streams[-2], streams[-1]
             odd = (sims % 2 == 1)[:, 0]
             low = (slots * np.uint64(3) + sims[odd]) % np.uint64(4)
             keys[odd] = (keys[odd, :1] & ~np.uint64(7)) | low
             return keys
 
-        monkeypatch.setattr(rng, "counter_hash", colliding_hash)
+        real_step = rng._step
+        sims_of_thread = threading.local()
+
+        def colliding_step(h, stream, out, scratch):
+            # Both the null and the oracle hash a block of simulations, then
+            # its slots, one step each.
+            real_step(h, stream, out, scratch)
+            if out.ndim == 2 and out.shape[1] == 1:
+                sims_of_thread.sims = stream
+            elif out.ndim == 2:
+                collide(out, sims_of_thread.sims, stream)
+            return out
+
+        monkeypatch.setattr(rng, "_step", colliding_step)
         ranks = np.tile(np.arange(1.0, 7.0)[:, None], (1, 3))
         got = permutation_null(ranks, nsim=40, seed=5, chunk_size=7)
         want = oracle.permutation_null(ranks, nsim=40, seed=5)
