@@ -429,7 +429,8 @@ def write_scores(
             if values is None:
                 columns.append(itertools.repeat("", len(records)))
             else:
-                columns.append("" if math.isnan(v) else repr(v) for v in map(float, values))
+                values = np.asarray(values, dtype=float).tolist()
+                columns.append("" if math.isnan(v) else repr(v) for v in values)
         writer.writerows(zip(*columns, strict=True))
         writer.writerow(["mean", "", *[repr(results[name].mean) for name in names]])
 

@@ -26,10 +26,17 @@ count) as rows and work row-wise, in chunks whose temporaries stay within
 sums add left to right, so no score depends on where the chunks fall, and
 a record scores the same in any batch: the energy score takes its pair sums
 in slabs whose height follows from the support size alone.
+
+The energy scores form one family, and CRPS, CRLS and wCRPS another:
+``score_batch`` scores every requested member of a family in one walk that
+takes the family's shared inputs once, and each member's kernel is the
+one-member call of that walk.  Each member runs the same operations in the
+same order either way, so it gets the same bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -176,25 +183,6 @@ def _pieces(x: np.ndarray, cdf: np.ndarray, y: np.ndarray):
     return left, merged[:, 1:] - left, f_left, left >= y
 
 
-def _integrate(batch: ForecastBatch, targets: np.ndarray, integrand) -> np.ndarray:
-    """Per-record sums of ``integrand(left, width, F(left), above)`` over the pieces."""
-    out = np.empty(batch.n)
-    # A merged row holds one point more than its support.
-    for rows, cols in batch.by_size.chunks(lambda size: size + 1):
-        pieces = _pieces(batch.points[cols], batch.cdf[cols], targets[rows, None])
-        out[rows] = _row_sums(integrand(*pieces))
-    return out
-
-
-def _crps_pieces(left, width, cdf, above):
-    diff = cdf - above
-    return width * (diff * diff)
-
-
-def _crls_pieces(left, width, cdf, above):
-    return width * -np.log(np.maximum(np.abs(cdf + above - 1.0), EPS_LOG))
-
-
 def _norm_pdf(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
@@ -250,82 +238,51 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     return y.reshape(a.shape)
 
 
-def _weight_integral(kind: str, a: np.ndarray, b: np.ndarray, loc: float, scale: float) -> np.ndarray:
-    """Integral of a Gaussian weight function over target-axis intervals [a, b]."""
+def _weight_integrals(a: np.ndarray, b: np.ndarray, loc: float, scale: float, kinds) -> dict:
+    """Integrals over target-axis intervals [a, b] of the Gaussian weights of ``kinds``.
+
+    Every kind reads the same two normal CDFs, and both tails the same
+    two densities, so a walk takes them once per weight reference.
+    """
     # _ndtr gives scipy.special.ndtr's bits, so these integrals keep the bytes
     # that tests/data/scores_golden.csv pins without importing scipy.
     za = (a - loc) / scale
     zb = (b - loc) / scale
-    if kind == "center":
-        return scale * (_ndtr(zb) - _ndtr(za))
-    # antiderivative of the normal CDF: z*cdf(z) + pdf(z)
-    prim_a = za * _ndtr(za) + _norm_pdf(za)
-    prim_b = zb * _ndtr(zb) + _norm_pdf(zb)
-    if kind == "right":
-        return scale * (prim_b - prim_a)
-    return scale * ((zb - prim_b) - (za - prim_a))
-
-
-def crps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    return _integrate(batch, targets, _crps_pieces)
-
-
-def crls_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    return _integrate(batch, targets, _crls_pieces)
-
-
-def energy_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    beta = spec.beta
-    out = np.empty(batch.n)
-    for rows, cols in batch.by_size.chunks(lambda size: _pair_slab(size) * size):
-        x, p = batch.points[cols], batch.probs[cols]
-        to_obs = _row_sums(p * np.abs(x - targets[rows, None]) ** beta)
-        out[rows] = to_obs - _energy_pairs(x, p, beta)
+    cdf_a, cdf_b = _ndtr(za), _ndtr(zb)
+    out = {}
+    if "center" in kinds:
+        out["center"] = scale * (cdf_b - cdf_a)
+    if kinds & {"left", "right"}:
+        # antiderivative of the normal CDF: z*cdf(z) + pdf(z)
+        prim_a = za * cdf_a + _norm_pdf(za)
+        prim_b = zb * cdf_b + _norm_pdf(zb)
+        out["right"] = scale * (prim_b - prim_a)
+        out["left"] = scale * ((zb - prim_b) - (za - prim_a))
     return out
 
 
-def _pair_slab(size: int) -> int:
-    """Rows of a support's pair matrix taken per pass: all of them, or one."""
-    return size if size * size <= _PAIR_SLAB_ELEMENTS else 1
+def crps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    return _integrals(batch, targets, [(crps_kernel, spec)])[0]
 
 
-def _energy_pairs(x: np.ndarray, p: np.ndarray, beta: float) -> np.ndarray:
-    """0.5 E|X - X'|^b per row of ``x``: the sum over pairs i < j.
-
-    Rows hold equal-size ascending supports.  The pair matrix is taken
-    ``_pair_slab`` rows at a time, against the columns right of the slab's
-    first row; pairs with j <= i give x_j - x_i <= 0 and are clipped to zero.
-    """
-    size = x.shape[1]
-    slab = _pair_slab(size)
-    cross = np.zeros(x.shape[0])
-    for lo in range(0, size - 1, slab):
-        hi = min(lo + slab, size - 1)
-        d = x[:, None, lo + 1 :] - x[:, lo:hi, None]
-        np.maximum(d, 0.0, out=d)
-        d **= beta
-        d *= p[:, lo:hi, None]
-        d *= p[:, None, lo + 1 :]
-        cross += d.sum(axis=2).sum(axis=1)
-    return cross
-
-
-def interval_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec):
-    alpha = spec.alpha
-    lower = batch.quantiles(alpha / 2.0)
-    upper = batch.quantiles(1.0 - alpha / 2.0)
-    penalty = np.where(
-        targets < lower,
-        (2.0 / alpha) * (lower - targets),
-        np.where(targets > upper, (2.0 / alpha) * (targets - upper), 0.0),
-    )
-    return (upper - lower) + penalty
+def crls_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    return _integrals(batch, targets, [(crls_kernel, spec)])[0]
 
 
 def wcrps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
     """wCRPS; without an explicit reference the weights center on the
     whole batch's target mean and population standard deviation.  The unit
     weight (also an unset ``weight_kind``) reads no reference: it is CRPS."""
+    return _integrals(batch, targets, [(wcrps_kernel, spec)])[0]
+
+
+def _integrand(kernel: Kernel, spec: MetricSpec, targets: np.ndarray) -> tuple:
+    """(kind, weight reference) of what the integrals walk sums for one
+    member: ``("crls", None)``, ``("unit", None)`` for CRPS, or a Gaussian
+    weight kind with its (loc, scale).  Checks an explicit wCRPS reference
+    and takes the default one."""
+    if kernel is not wcrps_kernel:
+        return ("crls" if kernel is crls_kernel else "unit"), None
     kind = spec.weight_kind or "unit"
     if spec.weight_loc is not None:
         loc, scale = float(spec.weight_loc), float(spec.weight_scale)
@@ -339,14 +296,111 @@ def wcrps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) ->
             raise InvalidScaleError(
                 "batch targets have zero spread; pass an explicit weight reference"
             )
-    if kind == "unit":
-        return crps_kernel(batch, targets, spec)
+    return (kind, None) if kind == "unit" else (kind, (loc, scale))
 
-    def integrand(left, width, cdf, above):
+
+def _integrals(batch: ForecastBatch, targets: np.ndarray, members) -> list[np.ndarray]:
+    """CRPS, CRLS and wCRPS columns, one per ``(kernel, spec)`` member.
+
+    All members read one ``_pieces`` call per chunk; CRPS and wCRPS share
+    its squared CDF difference, and wCRPS members of one weight reference
+    share its normal CDFs and densities.  Each column runs the operations
+    it runs alone, in the same order, so it has the same bytes.
+    """
+    rules = [_integrand(kernel, spec, targets) for kernel, spec in members]
+    references: dict[tuple, set] = {}
+    for kind, ref in rules:
+        if ref is not None:
+            references.setdefault(ref, set()).add(kind)
+    out = [np.empty(batch.n) for _ in rules]
+    # A merged row holds one point more than its support.
+    for rows, cols in batch.by_size.chunks(lambda size: size + 1):
+        left, width, cdf, above = _pieces(batch.points[cols], batch.cdf[cols], targets[rows, None])
         diff = cdf - above
-        return (diff * diff) * _weight_integral(kind, left, left + width, loc, scale)
+        square = diff * diff
+        weights = {ref: _weight_integrals(left, left + width, *ref, kinds)
+                   for ref, kinds in references.items()}
+        for k, (kind, ref) in enumerate(rules):
+            if kind == "crls":
+                pieces = width * -np.log(np.maximum(np.abs(cdf + above - 1.0), EPS_LOG))
+            elif ref is None:
+                pieces = width * square
+            else:
+                pieces = square * weights[ref][kind]
+            out[k][rows] = _row_sums(pieces)
+    return out
 
-    return _integrate(batch, targets, integrand)
+
+def energy_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    return _energy_scores(batch, targets, [(energy_score_kernel, spec)])[0]
+
+
+def _energy_scores(batch: ForecastBatch, targets: np.ndarray, members) -> list[np.ndarray]:
+    """Energy-score columns, one per ``(kernel, spec)`` member's beta.
+
+    Each chunk's distances |x - y| are taken once for every beta, as are
+    the pair differences of ``_energy_pairs``.
+    """
+    betas = [spec.beta for _, spec in members]
+    out = [np.empty(batch.n) for _ in betas]
+    for rows, cols in batch.by_size.chunks(lambda size: _pair_slab(size) * size):
+        x, p = batch.points[cols], batch.probs[cols]
+        dist = np.abs(x - targets[rows, None])
+        cross = _energy_pairs(x, p, betas)
+        for k, beta in enumerate(betas):
+            out[k][rows] = _row_sums(p * dist ** beta) - cross[k]
+    return out
+
+
+def _pair_slab(size: int) -> int:
+    """Rows of a support's pair matrix taken per pass: all of them, or one."""
+    return size if size * size <= _PAIR_SLAB_ELEMENTS else 1
+
+
+def _energy_pairs(x: np.ndarray, p: np.ndarray, betas: Sequence[float]) -> list[np.ndarray]:
+    """0.5 E|X - X'|^b per row of ``x``, one array per beta: the sum over
+    pairs i < j.
+
+    Rows hold equal-size ascending supports.  The pair matrix is taken
+    ``_pair_slab`` rows at a time, against the columns right of the slab's
+    first row; pairs with j <= i give x_j - x_i <= 0 and are clipped to zero.
+    Each slab's clipped differences are taken once.  Every beta but the
+    last works on a copy of them in one reused buffer, the last on the
+    differences themselves; each runs the same operations in the same
+    order, whatever the other betas.
+    """
+    size = x.shape[1]
+    slab = _pair_slab(size)
+    last = len(betas) - 1
+    cross = [np.zeros(x.shape[0]) for _ in betas]
+    buffer = np.empty(x.shape[0] * slab * (size - 1))
+    for lo in range(0, size - 1, slab):
+        hi = min(lo + slab, size - 1)
+        d = x[:, None, lo + 1 :] - x[:, lo:hi, None]
+        np.maximum(d, 0.0, out=d)
+        for k, beta in enumerate(betas):
+            if k == last:
+                t = d
+            else:
+                t = buffer[: d.size].reshape(d.shape)
+                np.copyto(t, d)
+            t **= beta
+            t *= p[:, lo:hi, None]
+            t *= p[:, None, lo + 1 :]
+            cross[k] += t.sum(axis=2).sum(axis=1)
+    return cross
+
+
+def interval_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec):
+    alpha = spec.alpha
+    lower = batch.quantiles(alpha / 2.0)
+    upper = batch.quantiles(1.0 - alpha / 2.0)
+    penalty = np.where(
+        targets < lower,
+        (2.0 / alpha) * (lower - targets),
+        np.where(targets > upper, (2.0 / alpha) * (targets - upper), 0.0),
+    )
+    return (upper - lower) + penalty
 
 
 def _log_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
@@ -438,6 +492,16 @@ _PARAMETER_KERNELS = (
     ("weight_kind", wcrps_kernel),
     ("level", coverage_kernel),
 )
+
+# The kernels of a family share one walk, which scores the members it is
+# given at once: ``walk(batch, targets, [(kernel, spec), ...])`` returns one
+# column per member, with the bytes the member's kernel gives alone.
+_WALKS = {
+    id(energy_score_kernel): _energy_scores,
+    id(crps_kernel): _integrals,
+    id(crls_kernel): _integrals,
+    id(wcrps_kernel): _integrals,
+}
 
 _REGISTRY: dict[str, MetricSpec] = {}
 
@@ -604,7 +668,9 @@ def score_batch(
 
     Records need ``target`` and ``forecast`` attributes (see
     :class:`probeval.io.ForecastRecord`).  The forecasts are packed into
-    one :class:`ForecastBatch` and each metric's kernel runs over it.
+    one :class:`ForecastBatch` and each metric's kernel runs over it; the
+    members of a family (the energy scores; CRPS, CRLS and wCRPS) are
+    scored in one walk, each with the bytes it gets alone.
     Histogram-only metrics (log score, Brier) are computed through the
     quantile-to-histogram conversion for quantile records and are absent
     (NaN) for sample records.  wCRPS weight references default to the
@@ -623,11 +689,23 @@ def score_batch(
     batch = ForecastBatch.from_forecasts(rec.forecast for rec in records)
 
     results: dict[str, ScoreResult] = {}
+    columns: dict[str, np.ndarray] = {}
+    walked = set()
     for name, spec in resolved.items():
         if spec.kernel is None:
             raise UnknownMetricError(f"metric {name!r} has no kernel and names no built-in metric")
+        walk = _WALKS.get(id(spec.kernel))
+        if walk is not None and walk not in walked:
+            # A family's first member scores every member in one walk.  If the
+            # walk fails, each member runs alone at its own turn, so the first
+            # failure in request order raises.
+            walked.add(walk)
+            family = [s for s in resolved.values() if _WALKS.get(id(s.kernel)) is walk]
+            with contextlib.suppress(Exception):
+                scored = walk(batch, targets, [(s.kernel, s) for s in family])
+                columns.update(zip([s.name for s in family], scored))
         try:
-            value = spec.kernel(batch, targets, spec)
+            value = columns.pop(name) if name in columns else spec.kernel(batch, targets, spec)
         except OutsideSupportError as exc:
             if exc.index is None:
                 raise

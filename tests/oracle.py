@@ -4,7 +4,9 @@ Each scoring function handles one forecast and one observation with plain
 numpy on that record alone, the way the scoring rules were first written:
 loops over segments, the full double sum for the energy score,
 ``np.unique`` for the conversions.  The property tests check the batch
-kernels of ``probeval`` against these.  ``permutation_null`` is the Monte
+kernels of ``probeval`` against these.  ``energy_slabs`` is the energy
+score in the kernel's own operation order, which the kernel must match
+byte for byte.  ``permutation_null`` is the Monte
 Carlo null as first written, a stable argsort per row of hash keys, and
 ``exact_p`` is its exact limit.  ``read_runs`` and ``validate_run_file``
 parse a run-record CSV one row at a time, as the reader was first written.
@@ -81,6 +83,25 @@ def energy(points, probs, y, beta):
     dist_y = np.abs(points - y) ** beta
     cross = np.abs(points[:, None] - points[None, :]) ** beta
     return float(probs @ dist_y - 0.5 * probs @ cross @ probs)
+
+
+def energy_slabs(points, probs, y, beta):
+    """The energy score in the batch kernel's own operations and order, for
+    one beta: left-to-right sums of p|x - y|^b, then pair matrices taken in
+    slabs (the whole matrix up to 64 points, else one row), each summed
+    along its rows and then across them.  It agrees with the kernel byte
+    for byte, whatever other betas the kernel scores beside it."""
+    to_obs = 0.0
+    for term in probs * np.abs(points - y) ** beta:
+        to_obs += term
+    size = points.size
+    slab = size if size * size <= 4096 else 1
+    cross = 0.0
+    for lo in range(0, size - 1, slab):
+        hi = min(lo + slab, size - 1)
+        d = np.maximum(points[None, lo + 1 :] - points[lo:hi, None], 0.0)
+        cross += (d**beta * probs[lo:hi, None] * probs[None, lo + 1 :]).sum(axis=1).sum()
+    return (to_obs + 0.0) - cross
 
 
 def energy_scale(points, probs, y, beta):

@@ -428,6 +428,46 @@ class TestErrorPaths:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("metrics, error", [
+        ("brier_score,wcrps_left", "record 'out': observation 5.0 outside histogram support"
+                                   " [0.0, 1.0]"),
+        ("wcrps_left,brier_score", "batch targets have zero spread;"
+                                   " pass an explicit weight reference"),
+        ("crps,brier_score,wcrps_right", "record 'out': observation 5.0 outside histogram"
+                                         " support [0.0, 1.0]"),
+    ])
+    def test_the_first_failing_metric_in_request_order_is_the_error(
+        self, tmp_path, capsys, metrics, error
+    ):
+        records = [
+            {"id": "out", "target": 5.0, "type": "histogram", "edges": [0.0, 1.0], "probs": [1.0]},
+            {"id": "in", "target": 5.0, "type": "histogram", "edges": [4.0, 6.0], "probs": [1.0]},
+        ]
+        path = self.write(tmp_path, "fc.jsonl", "".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "s.csv"
+        assert run_cli("score", "--forecasts", path, "--metrics", metrics, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_notes_and_columns_keep_request_order(self, tmp_path, capsys):
+        path = self.write(tmp_path, "fc.jsonl",
+                          "".join(json.dumps(r) + "\n" for r in CONSTANT_TARGETS))
+        metrics = ["energy_score", "log_score", "wcrps_center", "r2", "crps",
+                   "energy_score_beta_0.2", "brier_score", "crls"]
+        for order in (metrics, metrics[::-1]):
+            out = tmp_path / "s.csv"
+            assert run_cli("score", "--forecasts", path, "--metrics", ",".join(order),
+                           "--beta", 0.7, "--weight-ref", 0.0, 2.0, "--out", out) == 0
+            undefined = ("log_score", "r2", "brier_score")
+            assert [line.split()[1] for line in capsys.readouterr().err.splitlines()] == [
+                n for n in order if n in undefined
+            ]
+            header = out.read_text(encoding="utf-8").splitlines()[0].split(",")[2:]
+            assert header == [
+                "energy_score_beta_0.7" if n == "energy_score" else n
+                for n in order if n not in undefined
+            ]
+
     def test_fold_sum_past_the_largest_float(self, tmp_path, capsys):
         path = self.write(tmp_path, "runs.csv", OVERFLOWING_FOLDS)
         out = tmp_path / "lb.csv"

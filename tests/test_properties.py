@@ -264,6 +264,57 @@ def test_an_energy_score_has_the_same_bytes_alone_and_in_its_batch():
             assert one.tobytes() == whole[i : i + 1].tobytes(), (beta, sizes[i], i)
 
 
+# The members of the two families that score in one walk: the energy
+# scores, and the CRPS-type integrals, with wCRPS around two different
+# explicit references.
+ENERGY_FAMILY = [resolve_metric(f"energy_score_beta_{beta}") for beta in ENERGY_BETAS]
+INTEGRAL_FAMILY = [
+    resolve_metric("crps"),
+    resolve_metric("crls"),
+    MetricSpec("wcrps_left", weight_kind="left", weight_loc=0.3, weight_scale=1.7),
+    MetricSpec("wcrps_right", weight_kind="right", weight_loc=0.3, weight_scale=1.7),
+    MetricSpec("wcrps_center", weight_kind="center", weight_loc=0.3, weight_scale=1.7),
+    MetricSpec("wcrps_left_narrow", weight_kind="left", weight_loc=-1.0, weight_scale=0.5),
+    MetricSpec("wcrps_center_narrow", weight_kind="center", weight_loc=-1.0, weight_scale=0.5),
+    MetricSpec("wcrps_unit", weight_kind="unit"),
+]
+E07 = MetricSpec("e07", beta=0.7)
+
+
+@PROPERTY_SETTINGS
+@given(batches, st.randoms(use_true_random=False))
+def test_a_family_member_has_the_same_bytes_alone_and_with_its_family(pairs, random):
+    records = [ForecastRecord(str(i), y, f) for i, (f, y) in enumerate(pairs)]
+
+    def columns(specs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results = score_batch(records, specs)
+        return {name: (r.values.tobytes(), r.mean) for name, r in results.items()}
+
+    members = ENERGY_FAMILY + INTEGRAL_FAMILY
+    calls = [
+        columns(ENERGY_FAMILY),
+        columns(INTEGRAL_FAMILY),
+        columns(random.sample(members, len(members))),
+        columns(random.sample(members, len(members)) + [E07]),
+    ]
+    for spec in members:
+        alone = columns([spec])[spec.name]
+        assert columns([E07, spec])[spec.name] == alone, spec.name
+        assert columns([spec, E07])[spec.name] == alone, spec.name
+        for together in calls:
+            if spec.name in together:
+                assert together[spec.name] == alone, spec.name
+
+    # The walk runs each beta's operations in the order a lone energy score
+    # runs them, which the oracle writes out.
+    for spec in ENERGY_FAMILY + [E07]:
+        want = [oracle.energy_slabs(*oracle.discrete(rec.forecast), rec.target, spec.beta)
+                for rec in records]
+        assert np.array(want).tobytes() == calls[-1][spec.name][0], spec.name
+
+
 @PROPERTY_SETTINGS
 @given(batches)
 def test_packed_histogram_form_is_the_per_record_conversion(pairs):

@@ -582,3 +582,51 @@ class TestScoreBatch:
             results = score_batch(records, ["log_score", "crps"])
         assert "log_score" not in results
         assert "crps" in results
+
+    # Targets of zero spread, so wCRPS without a reference fails, and one
+    # observation outside its histogram, so the Brier score fails.
+    BOTH_FAIL = [
+        ForecastRecord("out", 5.0, HistogramForecast([0.0, 1.0], [1.0])),
+        ForecastRecord("in", 5.0, HistogramForecast([4.0, 6.0], [1.0])),
+    ]
+
+    @pytest.mark.parametrize("names, error, message", [
+        (["brier_score", "wcrps_left"], OutsideSupportError, "record 'out': observation 5.0"),
+        (["wcrps_left", "brier_score"], InvalidScaleError, "batch targets have zero spread"),
+        (["crps", "brier_score", "wcrps_left"], OutsideSupportError, "record 'out'"),
+        (["crps", "wcrps_left", "brier_score"], InvalidScaleError, "zero spread"),
+        (["energy_score_beta_0.5", "brier_score", "energy_score_beta_1.0", "wcrps_center"],
+         OutsideSupportError, "record 'out'"),
+    ])
+    def test_the_first_failure_in_request_order_raises(self, names, error, message):
+        with pytest.raises(error, match=message):
+            score_batch(self.BOTH_FAIL, names)
+
+    def test_notes_and_columns_keep_request_order(self):
+        # Sample records have no histogram form, and equal targets no r2.
+        records = [
+            ForecastRecord("a", 1.0, SampleForecast([0.0, 2.0, 2.5])),
+            ForecastRecord("b", 1.0, SampleForecast([1.0, 3.0])),
+        ]
+        specs = [
+            "energy_score_beta_2.0", "log_score", "crps", "r2", MetricSpec("e07", beta=0.7),
+            "brier_score", MetricSpec("w", weight_kind="center", weight_loc=0.0, weight_scale=2.0),
+            "crls", "energy_score_beta_0.5",
+        ]
+        alone = {}
+        for spec in specs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                alone.update(score_batch(records, [spec]))
+        for order in (specs, specs[::-1]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results = score_batch(records, order)
+            names = [s if isinstance(s, str) else s.name for s in order]
+            undefined = ("log_score", "r2", "brier_score")
+            assert list(results) == [n for n in names if n not in undefined]
+            assert [str(w.message).split()[0] for w in caught] == [
+                n for n in names if n in undefined
+            ]
+            for name, result in results.items():
+                assert result.values.tobytes() == alone[name].values.tobytes(), name
