@@ -374,13 +374,6 @@ class ForecastBatch:
         object.__setattr__(batch, "sources", forecasts)
         return batch
 
-    @classmethod
-    def of(cls, forecast: Forecast) -> ForecastBatch:
-        """One-record batch of any forecast form."""
-        if isinstance(forecast, DiscreteForecast):
-            return forecast.batch
-        return cls.from_forecasts([forecast])
-
     @property
     def n(self) -> int:
         """Number of records."""

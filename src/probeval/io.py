@@ -147,23 +147,18 @@ def _scan_forecasts(path) -> Iterator[tuple[int, dict | None, ForecastRecord | R
                 yield line_no, obj, record
 
 
-def _records(results: Iterable) -> list:
-    """The records of a scan, or its first error raised."""
-    records = []
-    for result in results:
-        if isinstance(result, RecordParseError):
-            raise result
-        records.append(result)
-    return records
-
-
 def read_forecasts(path) -> list[ForecastRecord]:
     """Parse a forecast record stream, preserving file order.
 
     Raises a :class:`RecordParseError` (or a subclass) carrying the line
     number of the first malformed record.
     """
-    return _records(result for _, _, result in _scan_forecasts(path))
+    records = []
+    for _, _, result in _scan_forecasts(path):
+        if isinstance(result, RecordParseError):
+            raise result
+        records.append(result)
+    return records
 
 
 def write_forecasts(records: Iterable[ForecastRecord], path) -> None:

@@ -61,6 +61,7 @@ from .forecast import (
     HistogramForecast,
     _bin_index,
     _row_sums,
+    to_discrete,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -261,10 +262,6 @@ def _weight_integrals(a: np.ndarray, b: np.ndarray, loc: float, scale: float, ki
     return out
 
 
-def crps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    return _integrals(batch, targets, [(crps_kernel, spec)])[0]
-
-
 def crls_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
     return _integrals(batch, targets, [(crls_kernel, spec)])[0]
 
@@ -276,13 +273,16 @@ def wcrps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) ->
     return _integrals(batch, targets, [(wcrps_kernel, spec)])[0]
 
 
+crps_kernel = wcrps_kernel  # CRPS is wCRPS with the unit weight
+
+
 def _integrand(kernel: Kernel, spec: MetricSpec, targets: np.ndarray) -> tuple:
     """(kind, weight reference) of what the integrals walk sums for one
     member: ``("crls", None)``, ``("unit", None)`` for CRPS, or a Gaussian
     weight kind with its (loc, scale).  Checks an explicit wCRPS reference
     and takes the default one."""
-    if kernel is not wcrps_kernel:
-        return ("crls" if kernel is crls_kernel else "unit"), None
+    if kernel is crls_kernel:
+        return "crls", None
     kind = spec.weight_kind or "unit"
     if spec.weight_loc is not None:
         loc, scale = float(spec.weight_loc), float(spec.weight_scale)
@@ -339,17 +339,31 @@ def _energy_scores(batch: ForecastBatch, targets: np.ndarray, members) -> list[n
     """Energy-score columns, one per ``(kernel, spec)`` member's beta.
 
     Each chunk's distances |x - y| are taken once for every beta, as are
-    the pair differences of ``_energy_pairs``.
+    the pair differences of ``_energy_pairs``.  A support wider than the
+    largest float overflows them.  The score has degree beta in the
+    support and target, so each non-finite cell is scored again from its
+    record halved, times 2^beta; every finite cell keeps its bytes.
     """
     betas = [spec.beta for _, spec in members]
-    out = [np.empty(batch.n) for _ in betas]
+    scale = np.array([2.0 ** beta for beta in betas])[:, None]
+    out = np.empty((len(betas), batch.n))
     for rows, cols in batch.by_size.chunks(lambda size: _pair_slab(size) * size):
-        x, p = batch.points[cols], batch.probs[cols]
-        dist = np.abs(x - targets[rows, None])
-        cross = _energy_pairs(x, p, betas)
-        for k, beta in enumerate(betas):
-            out[k][rows] = _row_sums(p * dist ** beta) - cross[k]
-    return out
+        x, p, y = batch.points[cols], batch.probs[cols], targets[rows, None]
+        scores = _energy_rows(x, p, y, betas)
+        finite = np.isfinite(scores)
+        if not finite.all():
+            wide = ~finite.all(axis=0)
+            halved = scale * _energy_rows(x[wide] / 2.0, p[wide], y[wide] / 2.0, betas)
+            scores[:, wide] = np.where(finite[:, wide], scores[:, wide], halved)
+        out[:, rows] = scores
+    return list(out)
+
+
+def _energy_rows(x: np.ndarray, p: np.ndarray, y: np.ndarray, betas) -> np.ndarray:
+    """Energy scores of the rows of ``x`` at the column ``y``, one row per beta."""
+    dist = np.abs(x - y)
+    cross = _energy_pairs(x, p, betas)
+    return np.array([_row_sums(p * dist ** beta) - c for beta, c in zip(betas, cross)])
 
 
 def _pair_slab(size: int) -> int:
@@ -364,14 +378,12 @@ def _energy_pairs(x: np.ndarray, p: np.ndarray, betas: Sequence[float]) -> list[
     Rows hold equal-size ascending supports.  The pair matrix is taken
     ``_pair_slab`` rows at a time, against the columns right of the slab's
     first row; pairs with j <= i give x_j - x_i <= 0 and are clipped to zero.
-    Each slab's clipped differences are taken once.  Every beta but the
-    last works on a copy of them in one reused buffer, the last on the
-    differences themselves; each runs the same operations in the same
-    order, whatever the other betas.
+    Each slab's clipped differences are taken once, and every beta works
+    on a copy of them in one reused buffer, so each runs the same
+    operations in the same order, whatever the other betas.
     """
     size = x.shape[1]
     slab = _pair_slab(size)
-    last = len(betas) - 1
     cross = [np.zeros(x.shape[0]) for _ in betas]
     buffer = np.empty(x.shape[0] * slab * (size - 1))
     for lo in range(0, size - 1, slab):
@@ -379,11 +391,8 @@ def _energy_pairs(x: np.ndarray, p: np.ndarray, betas: Sequence[float]) -> list[
         d = x[:, None, lo + 1 :] - x[:, lo:hi, None]
         np.maximum(d, 0.0, out=d)
         for k, beta in enumerate(betas):
-            if k == last:
-                t = d
-            else:
-                t = buffer[: d.size].reshape(d.shape)
-                np.copyto(t, d)
+            t = buffer[: d.size].reshape(d.shape)
+            np.copyto(t, d)
             t **= beta
             t *= p[:, lo:hi, None]
             t *= p[:, None, lo + 1 :]
@@ -498,7 +507,6 @@ _PARAMETER_KERNELS = (
 # column per member, with the bytes the member's kernel gives alone.
 _WALKS = {
     id(energy_score_kernel): _energy_scores,
-    id(crps_kernel): _integrals,
     id(crls_kernel): _integrals,
     id(wcrps_kernel): _integrals,
 }
@@ -547,7 +555,7 @@ def resolve_metric(name: str) -> MetricSpec:
 
 def _one(spec: MetricSpec, forecast: Forecast, y: float) -> float:
     """A kernel's value on the one-record batch of ``forecast``."""
-    return float(spec.kernel(ForecastBatch.of(forecast), np.array([y], dtype=float), spec)[0])
+    return float(spec.kernel(to_discrete(forecast).batch, np.array([y], dtype=float), spec)[0])
 
 
 def crps(f: DiscreteForecast, y: float) -> float:

@@ -409,6 +409,30 @@ class TestErrorPaths:
         assert out.splitlines()[0] == "line 1: empty run file; expected a header row"
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("args, error", [
+        (("--metrics", "interval_score"), "bare 'interval_score' needs --alpha"),
+        (("--metrics", "energy_score"), "bare 'energy_score' needs --beta"),
+        (("--metrics", ","), "no metrics requested"),
+    ])
+    def test_metric_list_errors(self, tmp_path, capsys, args, error):
+        path = self.write(tmp_path, "fc.jsonl",
+                          "".join(json.dumps(r) + "\n" for r in CONSTANT_TARGETS))
+        out = tmp_path / "s.csv"
+        assert run_cli("score", "--forecasts", path, *args, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_nsim_that_is_not_an_int(self, tmp_path, capsys):
+        runs = synth_runs(tmp_path)
+        assert run_cli("leaderboard", "--runs", runs, "--metric", "crps", "--nsim", "abc",
+                       "--seed", 7, "--out", tmp_path / "lb.csv") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "probeval leaderboard: error: argument --nsim: invalid int value: 'abc'"
+        ]
+        assert not (tmp_path / "lb.csv").exists()
+
     def test_r2_of_constant_targets_is_omitted(self, tmp_path, capsys):
         path = self.write(tmp_path, "fc.jsonl",
                           "".join(json.dumps(r) + "\n" for r in CONSTANT_TARGETS))

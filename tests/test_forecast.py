@@ -119,6 +119,12 @@ class TestQuantilesToHistogram:
         with pytest.raises(NotConvertibleError):
             quantiles_to_histogram(QuantileForecast([0.5], [3.0]))
 
+    def test_a_near_tie_after_spreading_takes_the_next_float(self):
+        # The tie at 0.0 spreads to +5e-10, past the next value 1e-10.
+        h = to_histogram(QuantileForecast([0.25, 0.5, 0.75], [0.0, 0.0, 1e-10]))
+        assert h.edges.tolist() == [-5e-10, 5e-10, 5.000000000000001e-10]
+        assert (np.diff(h.edges) > 0).all()
+
 
 class TestSamplesToDiscrete:
     def test_single_sample(self):

@@ -163,6 +163,22 @@ class TestReadRuns:
         records = list(read_runs(path))
         assert records == [RunRecord("a", "x", 0, "crps", 1.5), RunRecord("b", "x", 0, "crps", 2.5)]
 
+    def test_a_table_indexes_like_its_rows(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        write_lines(path, [
+            "model,dataset,fold,metric,value",
+            "a,x,0,crps,1.5",
+            "b,x,0,crps,2.5",
+            "a,y,1,rmse,0.25",
+            "b,y,1,rmse,-3.0",
+        ])
+        table = read_runs(path)
+        rows = list(table)
+        assert [table[i] for i in range(len(rows))] == rows
+        assert [table[-1], table[-4]] == [rows[-1], rows[-4]]
+        for part in (slice(1, 3), slice(None, None, -2), slice(5, 9), slice(-3, None)):
+            assert table[part] == rows[part]
+
     def test_duplicate_key(self, tmp_path):
         path = tmp_path / "dup.csv"
         write_lines(path, [

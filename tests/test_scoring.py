@@ -13,6 +13,7 @@ from scipy.stats import norm
 
 import oracle
 from conftest import random_discrete
+from probeval import scoring
 from probeval import (
     DiscreteForecast,
     HistogramForecast,
@@ -110,6 +111,26 @@ class TestCrps:
             span = float(f.points[-1] - f.points[0])
             tol = 1e-9 * (1 + abs(y) + span)
             assert abs(crps(f, y) - energy_score(f, y, 1.0)) <= tol
+
+    def test_crps_is_the_unit_weight_wcrps_kernel(self):
+        records = [ForecastRecord(str(i), y, f) for i, (y, f) in enumerate([
+            (0.3, TWO_POINT), (-1.0, SampleForecast([0.5, 2.0, 2.0, 3.0])),
+            (1.0, QuantileForecast([0.1, 0.5, 0.9], [0.0, 1.0, 4.0])),
+            (2.5, HistogramForecast([0.0, 1.0, 3.0], [0.25, 0.75])),
+        ])]
+        specs = ["crps", MetricSpec("c", kernel=scoring.crps_kernel),
+                 MetricSpec("u", weight_kind="unit")]
+        together = score_batch(records, specs)
+        for spec in specs:
+            alone = next(iter(score_batch(records, [spec]).values()))
+            assert alone.values.tobytes() == together["crps"].values.tobytes()
+        for name in ("c", "u"):
+            assert together[name].values.tobytes() == together["crps"].values.tobytes()
+
+    def test_an_invalid_explicit_reference_is_checked(self):
+        spec = MetricSpec("crps", weight_loc=0.0, weight_scale=-1.0)
+        with pytest.raises(InvalidScaleError, match="weight scale must be > 0"):
+            score_batch([ForecastRecord("a", 0.0, TWO_POINT)], [spec])
 
     def test_translation_and_scale_equivariance(self):
         rng = np.random.default_rng(5)
@@ -270,6 +291,26 @@ class TestEnergyScore:
             assert energy_score(doubled, 2.0 * y, beta) == pytest.approx(
                 2.0**beta * energy_score(f, y, beta), rel=1e-12
             )
+
+    def test_a_support_wider_than_the_float_range(self):
+        wide = SampleForecast([-1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert energy_score(wide, 0.0, 1.0) == crps(wide, 0.0) == 5e307
+            assert energy_score(wide, 0.0, 0.5) == 6.4644660940672635e153
+            assert energy_score(wide, 0.0, 0.5) == pytest.approx(
+                (1.0 - math.sqrt(2.0) / 4.0) * 1e154, rel=1e-12
+            )
+            records = [ForecastRecord("a", 0.3, TWO_POINT), ForecastRecord("wide", 0.0, wide),
+                       ForecastRecord("b", 2.0, SampleForecast([1.0, 4.0]))]
+            names = [f"energy_score_beta_{beta}" for beta in (0.5, 1.0)]
+            results = score_batch(records, names)
+            for name, beta in zip(names, (0.5, 1.0)):
+                assert results[name].values[1] == energy_score(wide, 0.0, beta)
+                assert results[name].values[[0, 2]].tolist() == [
+                    energy_score(TWO_POINT, 0.3, beta),
+                    energy_score(SampleForecast([1.0, 4.0]), 2.0, beta),
+                ]
 
 
 class TestWcrps:
@@ -457,6 +498,16 @@ class TestMetricRegistry:
         with pytest.raises(InvalidLevelError):
             MetricSpec("interval_score_0", alpha=1.0)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"beta": 1.0, "alpha": 0.1}, "metric 'm': parameters imply more than one kernel"),
+        ({"orientation": "sideways"}, "unknown orientation: 'sideways'"),
+        ({"weight_kind": "both"}, "unknown weight kind: 'both'"),
+    ])
+    def test_inconsistent_parameters(self, params, message):
+        with pytest.raises(ValueError) as info:
+            MetricSpec("m", **params)
+        assert str(info.value) == message
+
 
 class TestScoreBatch:
     def test_empty_stream(self):
@@ -546,6 +597,18 @@ class TestScoreBatch:
         with pytest.raises(ValueError) as info:
             score_batch(records, ["crps", short])
         assert str(info.value) == "metric 'short': kernel returned shape (2,) for 3 records"
+
+    def test_a_kernel_error_without_a_record_index_is_raised_unchanged(self):
+        error = OutsideSupportError("outside the custom support")
+
+        def outside(batch, targets, spec):
+            raise error
+
+        with pytest.raises(OutsideSupportError) as info:
+            score_batch([ForecastRecord("a", 0.0, TWO_POINT)],
+                        ["crps", MetricSpec("o", kernel=outside)])
+        assert info.value is error
+        assert str(info.value) == "outside the custom support"
 
     def test_conversion_note_counts_quantile_records_of_two_levels_or_more(self):
         records = [
