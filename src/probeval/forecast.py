@@ -85,7 +85,7 @@ class HistogramForecast:
             raise ValueError("probs must be a nonempty one-dimensional sequence")
         if edges.size != probs.size + 1:
             raise ValueError("len(edges) must equal len(probs) + 1")
-        if np.any(np.diff(edges) <= 0):
+        if np.any(edges[1:] <= edges[:-1]):
             raise ValueError("edges must be strictly increasing")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0):
             raise ValueError("probs must be finite and nonnegative")
@@ -132,11 +132,11 @@ class QuantileForecast:
             raise ValueError("values must contain only finite values")
         if levels.size != values.size:
             raise ValueError("levels and values must have the same length")
-        if np.any(np.diff(levels) <= 0):
+        if np.any(levels[1:] <= levels[:-1]):
             raise ValueError("levels must be strictly increasing")
         if levels[0] <= 0.0 or levels[-1] >= 1.0:
             raise InvalidLevelError("quantile levels must lie strictly inside (0, 1)")
-        crossings = int(np.sum(np.diff(values) < 0))
+        crossings = int(np.sum(values[1:] < values[:-1]))
         if crossings:
             warnings.warn(
                 f"{crossings} quantile crossing(s) repaired by monotone rearrangement",
@@ -334,11 +334,10 @@ class ForecastBatch:
             raise ValueError("probs must be one-dimensional")
         if probs.size != points.size:
             raise ValueError("points and probs must have the same length")
-        steps = points[1:] - points[:-1]
-        steps[offsets[1:-1] - 1] = np.inf  # no order across records
-        if (steps <= 0).any():
+        unordered = points[1:] <= points[:-1]
+        unordered[offsets[1:-1] - 1] = False  # no order across records
+        if unordered.any():
             raise ValueError("points must be strictly increasing")
-        del steps
         if not np.isfinite(probs).all() or (probs <= 0).any():
             raise ValueError("probs must be finite and strictly positive")
         by_size = _SizeGroups(offsets)
@@ -579,9 +578,9 @@ def _spread_equal_runs(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     eps = np.maximum(1e-9, 1e-9 * np.abs(v))
     edges[at] = v + eps * (step - np.repeat((size - 1) / 2, size))
     # Guard for pathological near-ties after spreading, record by record.
-    steps = edges[1:] - edges[:-1]
-    steps[offsets[1:-1] - 1] = np.inf  # no order across records
-    for r in np.unique(np.searchsorted(offsets, np.flatnonzero(steps <= 0), side="right") - 1):
+    unordered = edges[1:] <= edges[:-1]
+    unordered[offsets[1:-1] - 1] = False  # no order across records
+    for r in np.unique(np.searchsorted(offsets, np.flatnonzero(unordered), side="right") - 1):
         for k in range(offsets[r] + 1, offsets[r + 1]):
             if edges[k] <= edges[k - 1]:
                 edges[k] = np.nextafter(edges[k - 1], np.inf)

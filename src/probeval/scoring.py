@@ -239,8 +239,8 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     return y.reshape(a.shape)
 
 
-def _weight_integrals(a: np.ndarray, b: np.ndarray, loc: float, scale: float, kinds) -> dict:
-    """Integrals over target-axis intervals [a, b] of the Gaussian weights of ``kinds``.
+def _weight_integrals(a: np.ndarray, b: np.ndarray, loc: float, scale: float) -> dict:
+    """Integrals over target-axis intervals [a, b] of every Gaussian weight kind.
 
     Every kind reads the same two normal CDFs, and both tails the same
     two densities, so a walk takes them once per weight reference.
@@ -250,16 +250,13 @@ def _weight_integrals(a: np.ndarray, b: np.ndarray, loc: float, scale: float, ki
     za = (a - loc) / scale
     zb = (b - loc) / scale
     cdf_a, cdf_b = _ndtr(za), _ndtr(zb)
-    out = {}
-    if "center" in kinds:
-        out["center"] = scale * (cdf_b - cdf_a)
-    if kinds & {"left", "right"}:
-        # antiderivative of the normal CDF: z*cdf(z) + pdf(z)
+    # z*cdf(z) + pdf(z) is the antiderivative of the normal CDF.  A z*z that
+    # overflows gives the exact zero density; an infinite z was reported above.
+    with np.errstate(over="ignore", invalid="ignore"):
         prim_a = za * cdf_a + _norm_pdf(za)
         prim_b = zb * cdf_b + _norm_pdf(zb)
-        out["right"] = scale * (prim_b - prim_a)
-        out["left"] = scale * ((zb - prim_b) - (za - prim_a))
-    return out
+        return {"center": scale * (cdf_b - cdf_a), "right": scale * (prim_b - prim_a),
+                "left": scale * ((zb - prim_b) - (za - prim_a))}
 
 
 def crls_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
@@ -308,18 +305,14 @@ def _integrals(batch: ForecastBatch, targets: np.ndarray, members) -> list[np.nd
     it runs alone, in the same order, so it has the same bytes.
     """
     rules = [_integrand(kernel, spec, targets) for kernel, spec in members]
-    references: dict[tuple, set] = {}
-    for kind, ref in rules:
-        if ref is not None:
-            references.setdefault(ref, set()).add(kind)
+    references = {ref for _, ref in rules if ref is not None}
     out = [np.empty(batch.n) for _ in rules]
     # A merged row holds one point more than its support.
     for rows, cols in batch.by_size.chunks(lambda size: size + 1):
         left, width, cdf, above = _pieces(batch.points[cols], batch.cdf[cols], targets[rows, None])
         diff = cdf - above
         square = diff * diff
-        weights = {ref: _weight_integrals(left, left + width, *ref, kinds)
-                   for ref, kinds in references.items()}
+        weights = {ref: _weight_integrals(left, left + width, *ref) for ref in references}
         for k, (kind, ref) in enumerate(rules):
             if kind == "crls":
                 pieces = width * -np.log(np.maximum(np.abs(cdf + above - 1.0), EPS_LOG))
@@ -419,14 +412,18 @@ def _log_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
         k, inside = _bin_index(edges, targets[rows, None])
         r = np.arange(rows.size)
         p = np.where(inside, np.maximum(probs[r, k], EPS_DENSITY), EPS_DENSITY)
-        width = edges[r, k + 1] - edges[r, k]
-        with np.errstate(over="ignore"):
-            density = p / width
-        scores = -np.log(density)
-        # A bin narrower than about 1e-308 overflows the density; take the
-        # difference of logs there, and only there.
-        overflow = ~np.isfinite(density)
-        scores[overflow] = np.log(width[overflow]) - np.log(p[overflow])
+        with np.errstate(over="ignore", divide="ignore"):
+            width = edges[r, k + 1] - edges[r, k]
+            scores = -np.log(p / width)
+        # A bin narrower than about 1e-308 overflows the density, and one wider
+        # than the float range its width: take the difference of logs there,
+        # and only there, with the log of an overflowing width from its halves.
+        bad = ~np.isfinite(scores)
+        log_width = np.log(width[bad])
+        wide = np.isinf(log_width)
+        half = 0.5 * edges[r, k + 1][bad][wide] - 0.5 * edges[r, k][bad][wide]
+        log_width[wide] = np.log(half) + math.log(2.0)
+        scores[bad] = log_width - np.log(p[bad])
         out[rows] = scores
     return out
 

@@ -585,3 +585,34 @@ class TestRecordsAtFloatLimits:
         scores = dict(zip(header.split(","), row.split(",")))
         assert math.isclose(float(scores["crps"]), float(scores["energy_score_beta_1.0"]),
                             rel_tol=1e-9)
+
+    def test_a_support_wider_than_the_float_range_scores_without_a_note(self, tmp_path, capsys):
+        path = tmp_path / "wide.jsonl"
+        path.write_text(json.dumps({"id": "wide", "target": 0.0, "type": "samples",
+                                    "values": [-1e308, 1e308]}) + "\n", encoding="utf-8")
+        out = tmp_path / "scores.csv"
+        assert run_cli("score", "--forecasts", path, "--metrics", "crps", "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "wide,0.0,5e+307"
+
+    def test_bins_wider_than_the_float_range_print_only_the_conversion_note(
+        self, tmp_path, capsys
+    ):
+        records = [
+            {"id": "e", "target": 0.5, "type": "quantiles", "levels": [0.25, 0.75],
+             "values": [-1e308, 1e308]},
+            {"id": "f", "target": 0.5, "type": "histogram", "edges": [-1e308, 1e308],
+             "probs": [1]},
+        ]
+        path = tmp_path / "wide.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "scores.csv"
+        assert run_cli("score", "--forecasts", path, "--metrics", "crps,log_score",
+                       "--out", out) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: 1 quantile record(s) converted to histograms for density scores",
+        ]
+        assert out.read_text(encoding="utf-8").splitlines()[1:3] == [
+            "e,0.5,5e+307,709.889355822726",
+            "f,0.5,0.5,709.889355822726",
+        ]

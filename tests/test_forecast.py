@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from probeval.errors import (
     NotConvertibleError,
     QuantileCrossingWarning,
 )
+from probeval.forecast import HistogramBatch
 
 
 class TestHistogramToDiscrete:
@@ -301,6 +304,62 @@ class TestConversionAtFloatLimits:
         assert d.points.tolist() == [0.0, 1.0, 3.0]
         assert np.all(d.probs > 0)
         assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+class TestOrderChecksAtFloatLimits:
+    # Each check compares neighbours, so a support spanning +-1e308, whose
+    # differences overflow, is ordered without a warning.
+    @pytest.mark.parametrize("make", [
+        lambda: HistogramForecast([-1e308, 1e308], [1.0]),
+        lambda: QuantileForecast([0.25, 0.75], [-1e308, 1e308]),
+        lambda: DiscreteForecast([-1e308, 1e308], [0.5, 0.5]),
+        lambda: to_discrete(SampleForecast([-1e308, 1e308])),
+        lambda: to_histogram(QuantileForecast([0.25, 0.75], [-1e308, 1e308])),
+    ], ids=["histogram", "quantiles", "discrete", "samples", "quantile histogram"])
+    def test_a_support_wider_than_the_float_range_warns_nothing(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            make()
+
+    def test_crossings_are_counted_at_the_float_limits(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            q = QuantileForecast([0.25, 0.5, 0.75], [1e308, -1e308, 1.7e308])
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (QuantileCrossingWarning, "1 quantile crossing(s) repaired by monotone rearrangement")
+        ]
+        assert q.values.tolist() == [-1e308, 1e308, 1.7e308]
+
+    def test_records_are_ordered_each_on_its_own(self):
+        # A batch's support may fall from one record to the next.
+        batch = ForecastBatch([5.0, 6.0, 0.0, 1.0], [0.5, 0.5, 0.5, 0.5], [0, 2, 4])
+        assert batch.points.tolist() == [5.0, 6.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match="points must be strictly increasing"):
+            ForecastBatch([5.0, 6.0, 1.0, 1.0], [0.5, 0.5, 0.5, 0.5], [0, 2, 4])
+        # The near-tie repair of a quantile record ignores the record before it.
+        tie = QuantileForecast([0.25, 0.5, 0.75], [0.0, 0.0, 1e-10])
+        hists = HistogramBatch.from_forecasts([QuantileForecast([0.25, 0.75], [5.0, 6.0]), tie])
+        assert hists.edges.tolist() == [5.0, 6.0, *to_histogram(tie).edges.tolist()]
+
+
+class TestBatchConstructorErrors:
+    @pytest.mark.parametrize("points, probs, offsets, message", [
+        ([[0.0, 1.0]], [0.5, 0.5], [0, 2], "points must be a nonempty one-dimensional"),
+        ([0.0, 1.0], [0.5, 0.5], [0, 1], "offsets must be integers running from 0"),
+        ([0.0, 1.0], [0.5, 0.5], [0, 0, 2], "points must be a nonempty one-dimensional"),
+    ])
+    def test_batch(self, points, probs, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            ForecastBatch(points, probs, offsets)
+
+    @pytest.mark.parametrize("points, probs, message", [
+        ([0.0, np.inf], [0.5, 0.5], "points must contain only finite values"),
+        ([0.0, 1.0], [[0.5, 0.5]], "probs must be one-dimensional"),
+        ([0.0, 1.0], [1.0], "points and probs must have the same length"),
+    ])
+    def test_point_masses(self, points, probs, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteForecast(points, probs)
 
 
 class TestHistogramForm:

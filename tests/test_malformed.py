@@ -151,3 +151,42 @@ def test_forecast_parse_error_is_reported_once(tmp_path):
     n, repaired, violations = validate_forecast_file(path)
     assert (n, repaired) == (1, 0)
     assert [(v.line, v.message) for v in violations] == [(1, "unknown forecast type 'gaussian'")]
+
+
+def quantiles_line(levels: bytes, values: bytes) -> bytes:
+    line = b'{"id": "b", "target": 0.5, "type": "quantiles", "levels": %s, "values": %s}'
+    return line % (levels, values)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (json.dumps({"id": "b", "target": 0.5, "type": "histogram", "edges": [0, 1, 2],
+                 "probs": [1.0]}).encode(), "len(edges) must equal len(probs) + 1"),
+    (quantiles_line(b"[0.25, 0.75]", b"[0.0, 1e400]"), "values must contain only finite values"),
+    (quantiles_line(b"[0.25, 0.75]", b"[0.0]"), "levels and values must have the same length"),
+    (quantiles_line(b"[0.75, 0.25]", b"[0.0, 1.0]"), "levels must be strictly increasing"),
+], ids=["edges and probs", "infinite quantile value", "levels and values", "levels order"])
+def test_a_constructor_error_names_its_line(tmp_path, capsys, bad, message):
+    path, line = forecast_file(tmp_path, bad)
+    with pytest.raises(RecordParseError) as err:
+        read_forecasts(path)
+    assert (err.value.line, err.value.message) == (line, message)
+
+    assert main(["score", "--forecasts", str(path), "--metrics", "crps",
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+    assert main(["validate", "--forecasts", str(path)]) == 1
+    assert f"line {line}: {message}\n" in capsys.readouterr().out
+
+
+def test_a_header_field_over_the_csv_size_limit(tmp_path, capsys):
+    path = tmp_path / "runs.csv"
+    path.write_bytes(b"model," + b"x" * 200_000 + b",fold,metric,value\nm,d,0,crps,1.0\n")
+    message = "malformed CSV: field larger than field limit (131072)"
+    assert main(["leaderboard", "--runs", str(path), "--metric", "crps", "--seed", "1",
+                 "--out", str(tmp_path / "lb.csv")]) == 1
+    assert capsys.readouterr().err == f"error: line 1: {message}\n"
+    n, violations = validate_run_file(path)
+    assert (n, [(v.line, v.message) for v in violations]) == (0, [(1, message)])
+    assert main(["validate", "--runs", str(path)]) == 1
+    assert capsys.readouterr().out == f"line 1: {message}\n0 row(s), 1 violations\n"

@@ -414,6 +414,26 @@ class TestEmpiricalP:
             assert 1.0 / (nsim + 1) <= p <= 1.0
 
 
+class TestArgumentChecks:
+    matrix = ScoreMatrix(("a", "b"), ("d0", "d1", "d2"), np.arange(6.0).reshape(2, 3),
+                         LOWER_BETTER)
+
+    def test_score_matrix_shape(self):
+        with pytest.raises(ValueError, match=r"values must be shaped \(models, datasets\)"):
+            ScoreMatrix(("a", "b"), ("d0",), [[1.0, 2.0]], LOWER_BETTER)
+
+    def test_observed_statistics_shapes(self):
+        with pytest.raises(ValueError, match="ranks and matrix shapes differ"):
+            observed_statistics(np.ones((3, 2)), self.matrix)
+
+    def test_permutation_null_needs_a_simulation(self):
+        with pytest.raises(ValueError, match="nsim must be >= 1"):
+            permutation_null(rank_transform(self.matrix), nsim=0, seed=1)
+
+    def test_empirical_p_needs_a_null_sample(self):
+        with pytest.raises(ValueError, match="null sample must be nonempty"):
+            empirical_p(1.0, [])
+
 class TestBuildLeaderboard:
     def test_identical_models_not_informative(self):
         records = runs_from_matrix([[1.0, 2.0], [1.0, 2.0]])

@@ -207,6 +207,22 @@ class TestLogScore:
             result = score_batch([ForecastRecord("q", 0.0, q)], ["log_score"])
         assert result["log_score"].values[0] == expected
 
+    def test_a_bin_wider_than_the_float_range(self):
+        # The width 2e308 overflows; its log is log(1e308) + log(2).
+        h = HistogramForecast([-1e308, 1e308], [1.0])
+        q = QuantileForecast([0.25, 0.75], [-1e308, 1e308])
+        assert math.log(1e308) + math.log(2.0) == 709.889355822726
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_score(h, 0.5) == 709.889355822726
+            assert log_score(h, 2e307) == 709.889355822726
+            assert log_score(h, 1.7e308) == 709.889355822726 - math.log(1e-12)
+            assert log_score(quantiles_to_histogram(q), 0.5) == 709.889355822726
+        records = [ForecastRecord("e", 0.5, q), ForecastRecord("f", 0.5, h)]
+        with pytest.warns(ConversionWarning):
+            result = score_batch(records, ["log_score"])
+        assert result["log_score"].values.tolist() == [709.889355822726] * 2
+
 
 class TestBrierScore:
     def test_one_hot_forecast(self):
@@ -380,6 +396,18 @@ class TestWcrps:
         records = [ForecastRecord(str(i), 1.0, TWO_POINT) for i in range(3)]
         with pytest.raises(InvalidScaleError, match="weight scale must be > 0"):
             score_batch(records, [spec])
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("left", 2.5e199), ("right", 2.5e199), ("center", 2.5e39),
+    ])
+    def test_a_weight_whose_z_squared_overflows(self, kind, expected):
+        # z = +-1e160 at the support's ends: z * z overflows and the density
+        # there is exactly 0, so no kind warns, whichever kinds are requested.
+        spec = MetricSpec("w", weight_kind=kind, weight_loc=0.0, weight_scale=1e40)
+        records = [ForecastRecord("a", 0.0, SampleForecast([-1e200, 1e200]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert score_batch(records, [spec])["w"].values.tolist() == [expected]
 
     @pytest.mark.parametrize("loc, scale", [(math.nan, 1.0), (0.0, math.inf), (math.inf, 1.0)])
     def test_non_finite_reference(self, loc, scale):
