@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -475,8 +475,9 @@ def _gather(forecasts: tuple, table: dict) -> tuple[np.ndarray, np.ndarray, np.n
     """(values, masses, offsets) of ``forecasts`` packed in CSR layout.
 
     The records of each form are converted in bulk by that form's entry of
-    ``table``, which returns flat values, flat masses and one size per
-    record; a form without an entry gives empty records.
+    ``table``, which takes the form's fields laid end to end and the
+    offsets of the last one, and returns flat values, flat masses and one
+    size per record; a form without an entry gives empty records.
     """
     by_form: dict[type, list[int]] = {}
     for i, f in enumerate(forecasts):
@@ -485,7 +486,12 @@ def _gather(forecasts: tuple, table: dict) -> tuple[np.ndarray, np.ndarray, np.n
     parts = []
     for form, rows in by_form.items():
         if form in table:
-            part_values, part_masses, sizes = table[form]([forecasts[i] for i in rows])
+            group = [forecasts[i] for i in rows]
+            names = _INIT_FIELDS[form]
+            part_values, part_masses, sizes = table[form](
+                *(np.concatenate([getattr(f, name) for f in group]) for name in names),
+                _offsets([getattr(f, names[-1]).size for f in group]),
+            )
             lengths[rows] = sizes
             parts.append((rows, part_values, part_masses, sizes))
     offsets = _offsets(lengths)
@@ -510,20 +516,14 @@ def _merge_equal(values: np.ndarray, probs: np.ndarray, offsets: np.ndarray):
     return values[new][keep], merged[keep], np.bincount(rec, minlength=offsets.size - 1)
 
 
-def _histogram_masses(hists: list[HistogramForecast]):
-    edges = np.concatenate([h.edges for h in hists])
-    probs = np.concatenate([h.probs for h in hists])
-    offsets = _offsets([h.probs.size for h in hists])
+def _histogram_masses(edges: np.ndarray, probs: np.ndarray, offsets: np.ndarray):
     # Bin b of record r is bounded by flat edges b + r and b + r + 1.  Halving
     # each edge first cannot overflow; the bins of equal centers merge.
     left = np.arange(probs.size) + _record_ids(offsets)
     return _merge_equal(0.5 * edges[left] + 0.5 * edges[left + 1], probs, offsets)
 
 
-def _quantile_masses(quants: list[QuantileForecast]):
-    levels = np.concatenate([q.levels for q in quants])
-    values = np.concatenate([q.values for q in quants])
-    offsets = _offsets([q.levels.size for q in quants])
+def _quantile_masses(levels: np.ndarray, values: np.ndarray, offsets: np.ndarray):
     # Each value carries the mass between the midpoints to its neighbors;
     # the outer values run to 0 and 1.
     mids = 0.5 * (levels[:-1] + levels[1:])
@@ -534,22 +534,16 @@ def _quantile_masses(quants: list[QuantileForecast]):
     return _merge_equal(values, upper - lower, offsets)
 
 
-def _sample_masses(samples: list[SampleForecast]):
-    values = np.concatenate([s.values for s in samples])
-    offsets = _offsets([s.values.size for s in samples])
+def _sample_masses(values: np.ndarray, offsets: np.ndarray):
     rec = _record_ids(offsets)
     values = values[np.lexsort((values, rec))]
     new = _run_starts(values, offsets)
     probs = np.bincount(np.cumsum(new) - 1) / np.diff(offsets)[rec[new]]
-    return values[new], probs, np.bincount(rec[new], minlength=len(samples))
+    return values[new], probs, np.bincount(rec[new], minlength=offsets.size - 1)
 
 
-def _discrete_masses(forecasts: list[DiscreteForecast]):
-    return (
-        np.concatenate([f.points for f in forecasts]),
-        np.concatenate([f.probs for f in forecasts]),
-        np.array([f.points.size for f in forecasts], dtype=np.intp),
-    )
+def _discrete_masses(points: np.ndarray, probs: np.ndarray, offsets: np.ndarray):
+    return points, probs, np.diff(offsets)
 
 
 _TO_MASSES = {
@@ -558,6 +552,9 @@ _TO_MASSES = {
     QuantileForecast: _quantile_masses,
     SampleForecast: _sample_masses,
 }
+
+# Each form's constructor arguments, in order: the fields it is read, written and converted by.
+_INIT_FIELDS = {form: tuple(f.name for f in fields(form) if f.init) for form in _TO_MASSES}
 
 
 def _spread_equal_runs(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -587,21 +584,19 @@ def _spread_equal_runs(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return edges
 
 
-def _histogram_bins(hists: list[HistogramForecast]):
-    bins = _offsets([h.probs.size for h in hists])
-    probs = np.insert(np.concatenate([h.probs for h in hists]), bins[1:], 0.0)
-    return np.concatenate([h.edges for h in hists]), probs, np.diff(bins) + 1
+def _histogram_bins(edges: np.ndarray, probs: np.ndarray, offsets: np.ndarray):
+    return edges, np.insert(probs, offsets[1:], 0.0), np.diff(offsets) + 1
 
 
-def _quantile_bins(quants: list[QuantileForecast]):
+def _quantile_bins(levels: np.ndarray, values: np.ndarray, offsets: np.ndarray):
     """Spread quantile values as edges and level gaps over their record's
     total as bin masses; a record of one level forms no bin."""
-    sizes = np.array([q.levels.size for q in quants], dtype=np.intp)
+    sizes = np.diff(offsets)
     keep = np.repeat(sizes > 1, sizes)
     sizes[sizes == 1] = 0
     offsets = _offsets(sizes[sizes > 0])
-    edges = _spread_equal_runs(np.concatenate([q.values for q in quants])[keep], offsets)
-    masses = np.diff(np.concatenate([q.levels for q in quants])[keep], append=0.0)
+    edges = _spread_equal_runs(values[keep], offsets)
+    masses = np.diff(levels[keep], append=0.0)
     masses[offsets[1:] - 1] = 0.0
     for _, cols in _SizeGroups(offsets).chunks():
         masses[cols] /= masses[cols[:, :-1]].sum(axis=1, keepdims=True)

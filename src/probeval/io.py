@@ -34,19 +34,19 @@ from .forecast import (
     HistogramForecast,
     QuantileForecast,
     SampleForecast,
+    _INIT_FIELDS,
 )
 from .ranking import LeaderboardRow, RunRecord, RunTable, _Codes, _intern
 from .scoring import ScoreResult
 
-RUNS_HEADER = ("model", "dataset", "fold", "metric", "value")
+RUNS_HEADER = RunRecord._fields
 LEADERBOARD_HEADER = ("Rank", "Model", "p-value", "Observed", "AverageRank")
 
-# Each forecast form: its class and the JSON fields that carry it, in the
-# order of the class's constructor arguments.
+# Each forecast form: its class and the JSON fields that carry it.
 _FORMS = {
-    "histogram": (HistogramForecast, ("edges", "probs")),
-    "quantiles": (QuantileForecast, ("levels", "values")),
-    "samples": (SampleForecast, ("values",)),
+    form: (cls, _INIT_FIELDS[cls])
+    for form, cls in [("histogram", HistogramForecast), ("quantiles", QuantileForecast),
+                      ("samples", SampleForecast)]
 }
 _FORM_KEYS = tuple(dict.fromkeys(key for _, keys in _FORMS.values() for key in keys))
 
@@ -302,24 +302,17 @@ def _scan_runs(path) -> tuple[int, list[RecordParseError], RunTable | None]:
     skipped = 0
     with open(path, "rb") as fh:
         reader = csv.reader(map(bytes.decode, fh))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise RecordParseError(1, "empty run file; expected a header row") from None
-        except UnicodeDecodeError as exc:
-            raise RecordParseError(1, f"not valid UTF-8: {exc}") from None
-        except csv.Error as exc:
-            raise RecordParseError(reader.line_num, f"malformed CSV: {exc}") from None
-        if tuple(header) != RUNS_HEADER:
-            raise RecordParseError(
-                1, f"header must be {','.join(RUNS_HEADER)}, got {','.join(header)}"
-            )
         while True:
             # The physical line each row starts on.
             line_no = reader.line_num + skipped + 1
             try:
                 for row in reader:
-                    if len(row) == 5:
+                    if line_no == 1:
+                        if tuple(row) != RUNS_HEADER:
+                            raise RecordParseError(
+                                1, f"header must be {','.join(RUNS_HEADER)}, got {','.join(row)}"
+                            )
+                    elif len(row) == 5:
                         fields += row
                         lines.append(line_no)
                         if len(lines) == _RUN_BLOCK:
@@ -333,13 +326,14 @@ def _scan_runs(path) -> tuple[int, list[RecordParseError], RunTable | None]:
                 break
             except UnicodeDecodeError as exc:
                 skipped += 1
-                columns.reject(
-                    RecordParseError(reader.line_num + skipped, f"not valid UTF-8: {exc}")
-                )
+                error = RecordParseError(reader.line_num + skipped, f"not valid UTF-8: {exc}")
             except csv.Error as exc:
-                columns.reject(
-                    RecordParseError(reader.line_num + skipped, f"malformed CSV: {exc}")
-                )
+                error = RecordParseError(reader.line_num + skipped, f"malformed CSV: {exc}")
+            if line_no == 1:
+                raise error
+            columns.reject(error)
+    if line_no == 1:
+        raise RecordParseError(1, "empty run file; expected a header row")
     if lines:
         columns.add_block(fields, lines)
     return columns.finish()

@@ -342,7 +342,8 @@ def _energy_scores(batch: ForecastBatch, targets: np.ndarray, members) -> list[n
     out = np.empty((len(betas), batch.n))
     for rows, cols in batch.by_size.chunks(lambda size: _pair_slab(size) * size):
         x, p, y = batch.points[cols], batch.probs[cols], targets[rows, None]
-        scores = _energy_rows(x, p, y, betas)
+        with np.errstate(over="ignore", invalid="ignore"):  # redone below where not finite
+            scores = _energy_rows(x, p, y, betas)
         finite = np.isfinite(scores)
         if not finite.all():
             wide = ~finite.all(axis=0)

@@ -571,6 +571,10 @@ LIMIT_RECORDS = [
      "values": [0, 1, 2, 3]},
 ]
 
+# Samples spanning the float range: their energy scores overflow and are
+# rescored from the record halved.
+WIDE_SAMPLES = {"id": "wide", "target": 0.0, "type": "samples", "values": [-1e308, 1e308]}
+
 
 class TestRecordsAtFloatLimits:
     @pytest.mark.parametrize("record", LIMIT_RECORDS, ids=lambda r: r["id"])
@@ -594,6 +598,33 @@ class TestRecordsAtFloatLimits:
         assert run_cli("score", "--forecasts", path, "--metrics", "crps", "--out", out) == 0
         assert capsys.readouterr().err == ""
         assert out.read_text(encoding="utf-8").splitlines()[1] == "wide,0.0,5e+307"
+
+    @pytest.mark.parametrize("beta", ["0.5", "1.0"])
+    def test_an_energy_score_rescored_finite_prints_no_note(self, tmp_path, capsys, beta):
+        path = tmp_path / "wide.jsonl"
+        path.write_text(json.dumps(WIDE_SAMPLES) + "\n", encoding="utf-8")
+        out = tmp_path / "scores.csv"
+        assert run_cli("score", "--forecasts", path, "--metrics", f"energy_score_beta_{beta}",
+                       "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        score = {"0.5": "6.4644660940672635e+153", "1.0": "5e+307"}[beta]
+        assert out.read_text(encoding="utf-8").splitlines()[1] == f"wide,0.0,{score}"
+
+    def test_an_energy_score_still_not_finite_prints_the_notes_of_its_rescoring(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "wide.jsonl"
+        path.write_text(json.dumps(WIDE_SAMPLES) + "\n", encoding="utf-8")
+        out = tmp_path / "scores.csv"
+        assert run_cli("score", "--forecasts", path, "--metrics", "energy_score_beta_2.0",
+                       "--out", out) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: overflow encountered in power",
+            "note: overflow encountered in power",
+            "note: invalid value encountered in subtract",
+            "note: energy_score_beta_2.0 is undefined for every record; omitted",
+        ]
+        assert out.read_text(encoding="utf-8").splitlines() == ["id,target", "wide,0.0", "mean,"]
 
     def test_bins_wider_than_the_float_range_print_only_the_conversion_note(
         self, tmp_path, capsys

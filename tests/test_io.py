@@ -251,8 +251,11 @@ def run_files(draw) -> bytes:
     """A run file; in about half the files every row reads."""
     header = b"model,dataset,fold,metric,value\n"
     if draw(st.integers(0, 9)) == 0:
-        header = draw(st.sampled_from([b"model,dataset,fold,metric,value\r\n",
-                                       b"model,dataset,value\n", b"\n", b"", b"model\xff\n"]))
+        header = draw(st.sampled_from([
+            b"model,dataset,fold,metric,value\r\n", b"model,dataset,value\n", b"\n", b"",
+            b"model\xff\n", b"\xef\xbb\xbfmodel,dataset,fold,metric,value\n",
+            b'"model\n,dataset",fold,metric,value\n', b"model,dataset,fold,metric,value",
+        ]))
     lines = draw(st.lists(run_row(junk=False), max_size=20))
     if draw(st.booleans()):
         lines += draw(st.lists(st.one_of(run_row(junk=True), junk_lines), max_size=10))
@@ -298,6 +301,23 @@ class TestRunReaderMatchesTheRowOracle:
             if isinstance(got, list):
                 table = read_runs(path)
                 assert aggregated(table) == aggregated(list(table))
+
+    @pytest.mark.parametrize("header", [
+        b"\xef\xbb\xbfmodel,dataset,fold,metric,value\n",
+        b'"model,dataset,fold,metric,value\n',
+        b'"model\n,dataset",fold,metric,value\n',
+        b"model,dataset,fold,metric,value",
+        b"model,dataset,fold,metric,value\n",
+        b"model\xff,dataset,fold,metric,value\n",
+        b'model,dataset,fold,metric,"value',
+    ], ids=["bom", "unclosed-quote", "quoted-newline", "no-newline", "header-only",
+            "not-utf8", "unclosed-last-field"])
+    @pytest.mark.parametrize("rows", [b"", b"a,x,0,crps,1\n"], ids=["alone", "with-a-row"])
+    def test_header_cases(self, tmp_path, header, rows):
+        path = tmp_path / "runs.csv"
+        path.write_bytes(header + rows)
+        assert outcome(read_runs, path) == outcome(oracle.read_runs, path)
+        assert validate_run_file(path) == oracle.validate_run_file(path)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c,d"]), st.sampled_from(["x", "y", "z"]),
