@@ -46,15 +46,13 @@ def _positive_int(text: str) -> int:
 def _resolve_cli_metrics(names: list[str], args) -> list[scoring.MetricSpec]:
     specs = []
     for name in names:
-        if name == "interval_score":
-            if args.alpha is None:
-                raise UnknownMetricError("bare 'interval_score' needs --alpha")
-            spec = scoring.MetricSpec("interval_score", alpha=args.alpha)  # checks alpha
-            specs.append(replace(spec, name=f"interval_score_{round((1.0 - spec.alpha) * 100)}"))
-        elif name == "energy_score":
-            if args.beta is None:
-                raise UnknownMetricError("bare 'energy_score' needs --beta")
-            specs.append(scoring.MetricSpec(f"energy_score_beta_{args.beta}", beta=args.beta))
+        # A bare family name whose parameter is a flag (--alpha, --beta) reads it.
+        family = scoring.FAMILIES.get(name)
+        if family is not None and hasattr(args, family.param):
+            value = getattr(args, family.param)
+            if value is None:
+                raise UnknownMetricError(f"bare {name!r} needs --{family.param}")
+            specs.append(scoring.family_spec(name, value))
         else:
             spec = scoring.resolve_metric(name)
             if spec.weight_kind is not None and args.weight_ref is not None:

@@ -4,20 +4,19 @@ Sharpness is the average predicted standard deviation, dispersion the
 population standard deviation of the per-instance standard deviations,
 and coverage the fraction of observations inside central prediction
 intervals read off the forecast CDFs.  None of these is a proper scoring
-rule; they complement the scores in :mod:`probeval.scoring`, whose batch
-kernels compute them.
+rule; they complement the scores in :mod:`probeval.scoring`, and each is
+the batch mean that :func:`probeval.scoring.score_batch` gives its metric.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .errors import EmptyBatchError
-from .forecast import DiscreteForecast, ForecastBatch
-from .scoring import MetricSpec, coverage_kernel, dispersion_kernel, sharpness_kernel
+from .forecast import DiscreteForecast
+from .io import ForecastRecord
+from .scoring import MetricSpec, resolve_metric, score_batch
 
 
 @dataclass(frozen=True)
@@ -29,20 +28,18 @@ class CalibrationReport:
     coverage: dict[float, float]
 
 
-def _pack(forecasts: Iterable[DiscreteForecast]) -> ForecastBatch:
-    batch = ForecastBatch.from_forecasts(forecasts)
-    if batch.n == 0:
-        raise EmptyBatchError("diagnostics need at least one forecast")
-    return batch
-
-
-def _coverage_spec(level: float) -> MetricSpec:
-    return MetricSpec(f"coverage_{level}", level=level)
+def _means(pairs: Iterable[tuple[DiscreteForecast, float]], specs: list) -> list[float]:
+    """The ``score_batch`` mean of each spec over (forecast, observation)
+    pairs, NaN where ``score_batch`` omits the metric as undefined."""
+    records = [ForecastRecord(str(i), y, f) for i, (f, y) in enumerate(pairs)]
+    results = score_batch(records, specs)
+    return [results[s.name].mean if s.name in results else math.nan for s in specs]
 
 
 def sharpness(forecasts: Iterable[DiscreteForecast]) -> float:
     """Mean of the per-instance predictive standard deviations."""
-    return float(np.mean(sharpness_kernel(_pack(forecasts), None, None)))
+    # Sharpness and dispersion read no observation, so any target will do.
+    return _means(((f, 0.0) for f in forecasts), [resolve_metric("sharpness")])[0]
 
 
 def dispersion(forecasts: Iterable[DiscreteForecast]) -> float:
@@ -51,7 +48,7 @@ def dispersion(forecasts: Iterable[DiscreteForecast]) -> float:
     The 1/N normalization makes a single-forecast batch well defined
     (dispersion zero).
     """
-    return dispersion_kernel(_pack(forecasts), None, None)
+    return _means(((f, 0.0) for f in forecasts), [resolve_metric("dispersion")])[0]
 
 
 def coverage(batch: Sequence[tuple[DiscreteForecast, float]], level: float) -> float:
@@ -61,13 +58,8 @@ def coverage(batch: Sequence[tuple[DiscreteForecast, float]], level: float) -> f
     inclusive; atomic CDFs can therefore over-cover the nominal level,
     which is reported as observed rather than corrected.
     """
-    spec = _coverage_spec(level)
-    batch = list(batch)
-    if not batch:
-        raise EmptyBatchError("coverage needs at least one (forecast, observation) pair")
-    packed = ForecastBatch.from_forecasts(f for f, _ in batch)
-    targets = np.array([y for _, y in batch], dtype=float)
-    return float(np.mean(coverage_kernel(packed, targets, spec)))
+    # Named by the level itself, so nearby levels of one report (0.9, 0.901) differ.
+    return _means(batch, [MetricSpec(f"coverage_{level}", level=level)])[0]
 
 
 def calibration_report(
@@ -75,14 +67,7 @@ def calibration_report(
     levels: Sequence[float] = (0.90, 0.95),
 ) -> CalibrationReport:
     """Sharpness, dispersion, and coverage at the requested levels."""
-    batch = list(batch)
-    packed = _pack(f for f, _ in batch)
-    targets = np.array([y for _, y in batch], dtype=float)
-    return CalibrationReport(
-        sharpness=float(np.mean(sharpness_kernel(packed, targets, None))),
-        dispersion=dispersion_kernel(packed, targets, None),
-        coverage={
-            level: float(np.mean(coverage_kernel(packed, targets, _coverage_spec(level))))
-            for level in levels
-        },
-    )
+    specs = [resolve_metric("sharpness"), resolve_metric("dispersion")]
+    specs += [MetricSpec(f"coverage_{level}", level=level) for level in levels]
+    sharp, spread, *covered = _means(batch, specs)
+    return CalibrationReport(sharp, spread, coverage=dict(zip(levels, covered)))

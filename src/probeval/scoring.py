@@ -40,7 +40,7 @@ import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -121,9 +121,9 @@ class MetricSpec:
     ``weight_loc``/``weight_scale`` its climatological reference, set both
     or neither.
     ``kernel`` computes the metric; when omitted it follows from the
-    parameter that is set (beta: energy score, alpha: interval score,
-    weight_kind: wCRPS, level: coverage) or from the built-in metric of
-    the same name.
+    parameter that is set, through ``FAMILIES`` (beta: energy score,
+    alpha: interval score, weight_kind: wCRPS, level: coverage), or from
+    the built-in metric of the same name.
     """
 
     name: str
@@ -154,7 +154,7 @@ class MetricSpec:
 
 
 def _implied_kernel(spec: MetricSpec) -> Kernel | None:
-    implied = [kernel for param, kernel in _PARAMETER_KERNELS if getattr(spec, param) is not None]
+    implied = [fam.kernel for fam in FAMILIES.values() if getattr(spec, fam.param) is not None]
     if len(implied) > 1:
         raise ValueError(f"metric {spec.name!r}: parameters imply more than one kernel")
     if implied:
@@ -467,12 +467,20 @@ def mae_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> n
     return np.abs(targets - batch.quantiles(0.5))
 
 
+def _squared_error_metrics(pred: np.ndarray, y: np.ndarray) -> tuple[float, float | None]:
+    """RMSE of ``pred``, and R-squared (None when ``y`` has zero variance)."""
+    sq_err = (y - pred) ** 2
+    rmse = float(math.sqrt(np.mean(sq_err)))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return rmse, None if ss_tot == 0.0 else 1.0 - float(np.sum(sq_err)) / ss_tot
+
+
 def rmse_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> float:
-    return point_metrics(batch.quantiles(0.5), batch.means(), targets).rmse
+    return _squared_error_metrics(batch.means(), targets)[0]
 
 
 def r2_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> float:
-    r2 = point_metrics(batch.quantiles(0.5), batch.means(), targets).r2
+    r2 = _squared_error_metrics(batch.means(), targets)[1]
     return math.nan if r2 is None else r2
 
 
@@ -493,12 +501,24 @@ def coverage_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec)
     return ((lower <= targets) & (targets <= upper)).astype(float)
 
 
-_PARAMETER_KERNELS = (
-    ("beta", energy_score_kernel),
-    ("alpha", interval_score_kernel),
-    ("weight_kind", wcrps_kernel),
-    ("level", coverage_kernel),
-)
+# Each parametric family: the parameter that makes a spec a member, the kernel
+# that parameter implies, and the identifier of the member of a given value.
+Family = NamedTuple("Family", [("param", str), ("kernel", Kernel), ("name", Callable)])
+FAMILIES = {
+    "energy_score": Family("beta", energy_score_kernel, lambda beta: f"energy_score_beta_{beta}"),
+    "interval_score": Family("alpha", interval_score_kernel,
+                             lambda alpha: f"interval_score_{round((1.0 - alpha) * 100)}"),
+    "wcrps": Family("weight_kind", wcrps_kernel, lambda kind: f"wcrps_{kind}"),
+    "coverage": Family("level", coverage_kernel, lambda level: f"coverage_{round(level * 100)}"),
+}
+
+
+def family_spec(family: str, value) -> MetricSpec:
+    """The member of ``family`` with parameter ``value``, under its identifier."""
+    param, _, name = FAMILIES[family]
+    spec = MetricSpec(family, **{param: value})  # checks value before name() reads it
+    return replace(spec, name=name(value))
+
 
 # The kernels of a family share one walk, which scores the members it is
 # given at once: ``walk(batch, targets, [(kernel, spec), ...])`` returns one
@@ -522,18 +542,14 @@ def _builtin_specs() -> list[MetricSpec]:
         MetricSpec("brier_score", kernel=brier_score_kernel),
         MetricSpec("r2", orientation=HIGHER_BETTER, kernel=r2_kernel),
     ]
-    specs += [MetricSpec(f"energy_score_beta_{beta}", beta=beta) for beta in ENERGY_BETAS]
-    specs += [MetricSpec(f"wcrps_{kind}", weight_kind=kind) for kind in ("left", "right", "center")]
-    specs += [
-        MetricSpec("interval_score_90", alpha=0.10),
-        MetricSpec("interval_score_95", alpha=0.05),
-        # Calibration diagnostics share the identifier namespace so they can
-        # be requested through the same batch interface.
-        MetricSpec("sharpness", kernel=sharpness_kernel),
-        MetricSpec("dispersion", kernel=dispersion_kernel),
-        MetricSpec("coverage_90", level=0.90),
-        MetricSpec("coverage_95", level=0.95),
-    ]
+    specs += [family_spec("energy_score", beta) for beta in ENERGY_BETAS]
+    specs += [family_spec("wcrps", kind) for kind in ("left", "right", "center")]
+    specs += [family_spec("interval_score", alpha) for alpha in (0.10, 0.05)]
+    # Calibration diagnostics share the identifier namespace so they can
+    # be requested through the same batch interface.
+    specs += [MetricSpec("sharpness", kernel=sharpness_kernel),
+              MetricSpec("dispersion", kernel=dispersion_kernel)]
+    specs += [family_spec("coverage", level) for level in (0.90, 0.95)]
     return specs
 
 
@@ -644,10 +660,7 @@ def point_metrics(pred_mae, pred_sq, targets) -> PointMetrics:
     if y.size == 0:
         raise EmptyBatchError("point metrics need at least one observation")
     mae = float(np.mean(np.abs(y - pred_mae)))
-    sq_err = (y - pred_sq) ** 2
-    rmse = float(math.sqrt(np.mean(sq_err)))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = None if ss_tot == 0.0 else 1.0 - float(np.sum(sq_err)) / ss_tot
+    rmse, r2 = _squared_error_metrics(pred_sq, y)
     return PointMetrics(mae=mae, rmse=rmse, r2=r2)
 
 
