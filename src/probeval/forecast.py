@@ -200,7 +200,7 @@ class DiscreteForecast:
         return float(self.batch.variances()[0])
 
     def std(self) -> float:
-        return math.sqrt(self.variance())
+        return float(self.batch.stds()[0])
 
 
 Forecast = HistogramForecast | QuantileForecast | SampleForecast | DiscreteForecast
@@ -413,7 +413,18 @@ class ForecastBatch:
         return np.maximum(out, 0.0)
 
     def stds(self) -> np.ndarray:
-        return np.sqrt(self.variances())
+        # Centred points past about 1.34e154 overflow their squares, although
+        # the standard deviation is finite.  Those records are taken again from
+        # the support scaled by 2^-514 and scaled back, both exact, so every
+        # finite record keeps its bytes.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.sqrt(self.variances())
+        wide = ~np.isfinite(out)
+        if wide.any():
+            scaled = _view(ForecastBatch, points=np.ldexp(self.points, -514), probs=self.probs,
+                           offsets=self.offsets, cdf=self.cdf, by_size=self.by_size)
+            out[wide] = np.ldexp(np.sqrt(scaled.variances()[wide]), 514)
+        return out
 
     def histograms(self) -> HistogramBatch:
         """Histogram form of every record (see :class:`HistogramBatch`).

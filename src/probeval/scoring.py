@@ -51,6 +51,7 @@ from .errors import (
     InvalidLevelError,
     InvalidScaleError,
     OutsideSupportError,
+    ProbevalError,
     UnknownMetricError,
 )
 from .forecast import (
@@ -259,18 +260,20 @@ def _weight_integrals(a: np.ndarray, b: np.ndarray, loc: float, scale: float) ->
                 "left": scale * ((zb - prim_b) - (za - prim_a))}
 
 
-def crls_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    return _integrals(batch, targets, [(crls_kernel, spec)])[0]
+class _Member:
+    """A family member's kernel, the one-member call of the family's walk:
+    ``walk(batch, targets, [(kernel, spec), ...])`` scores its members at
+    once, one column each, with the bytes each member's kernel gives alone."""
 
+    def __init__(self, walk: Callable):
+        self.walk = walk
 
-def wcrps_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    """wCRPS; without an explicit reference the weights center on the
-    whole batch's target mean and population standard deviation.  The unit
-    weight (also an unset ``weight_kind``) reads no reference: it is CRPS."""
-    return _integrals(batch, targets, [(wcrps_kernel, spec)])[0]
+    def __call__(self, batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+        return self.walk(batch, targets, [(self, spec)])[0]
 
-
-crps_kernel = wcrps_kernel  # CRPS is wCRPS with the unit weight
+    def __reduce__(self):
+        # Pickled and copied as its module global: _integrand tells members apart by identity.
+        return next(name for name, value in globals().items() if value is self)
 
 
 def _integrand(kernel: Kernel, spec: MetricSpec, targets: np.ndarray) -> tuple:
@@ -324,10 +327,6 @@ def _integrals(batch: ForecastBatch, targets: np.ndarray, members) -> list[np.nd
     return out
 
 
-def energy_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    return _energy_scores(batch, targets, [(energy_score_kernel, spec)])[0]
-
-
 def _energy_scores(batch: ForecastBatch, targets: np.ndarray, members) -> list[np.ndarray]:
     """Energy-score columns, one per ``(kernel, spec)`` member's beta.
 
@@ -351,6 +350,14 @@ def _energy_scores(batch: ForecastBatch, targets: np.ndarray, members) -> list[n
             scores[:, wide] = np.where(finite[:, wide], scores[:, wide], halved)
         out[:, rows] = scores
     return list(out)
+
+
+crls_kernel = _Member(_integrals)
+# wCRPS; without an explicit reference the weights center on the whole
+# batch's target mean and population standard deviation.  The unit weight
+# (also an unset ``weight_kind``) reads no reference: it is CRPS.
+wcrps_kernel = crps_kernel = _Member(_integrals)
+energy_score_kernel = _Member(_energy_scores)
 
 
 def _energy_rows(x: np.ndarray, p: np.ndarray, y: np.ndarray, betas) -> np.ndarray:
@@ -491,7 +498,10 @@ def sharpness_kernel(batch: ForecastBatch, targets, spec: MetricSpec) -> np.ndar
 
 def dispersion_kernel(batch: ForecastBatch, targets, spec: MetricSpec) -> float:
     """Population standard deviation of the per-record standard deviations."""
-    return float(np.std(sharpness_kernel(batch, targets, spec)))
+    stds = sharpness_kernel(batch, targets, spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # retaken at 2^-514 where not finite
+        spread = np.std(stds)
+    return float(spread if np.isfinite(spread) else np.ldexp(np.std(np.ldexp(stds, -514)), 514))
 
 
 def coverage_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
@@ -519,15 +529,6 @@ def family_spec(family: str, value) -> MetricSpec:
     spec = MetricSpec(family, **{param: value})  # checks value before name() reads it
     return replace(spec, name=name(value))
 
-
-# The kernels of a family share one walk, which scores the members it is
-# given at once: ``walk(batch, targets, [(kernel, spec), ...])`` returns one
-# column per member, with the bytes the member's kernel gives alone.
-_WALKS = {
-    id(energy_score_kernel): _energy_scores,
-    id(crls_kernel): _integrals,
-    id(wcrps_kernel): _integrals,
-}
 
 _REGISTRY: dict[str, MetricSpec] = {}
 
@@ -713,14 +714,15 @@ def score_batch(
     for name, spec in resolved.items():
         if spec.kernel is None:
             raise UnknownMetricError(f"metric {name!r} has no kernel and names no built-in metric")
-        walk = _WALKS.get(id(spec.kernel))
+        walk = spec.kernel.walk if isinstance(spec.kernel, _Member) else None
         if walk is not None and walk not in walked:
             # A family's first member scores every member in one walk.  If the
-            # walk fails, each member runs alone at its own turn, so the first
-            # failure in request order raises.
+            # walk raises a library error, each member runs alone at its own
+            # turn, so the first such failure in request order raises.
             walked.add(walk)
-            family = [s for s in resolved.values() if _WALKS.get(id(s.kernel)) is walk]
-            with contextlib.suppress(Exception):
+            family = [s for s in resolved.values()
+                      if isinstance(s.kernel, _Member) and s.kernel.walk is walk]
+            with contextlib.suppress(ProbevalError):
                 scored = walk(batch, targets, [(s.kernel, s) for s in family])
                 columns.update(zip([s.name for s in family], scored))
         try:

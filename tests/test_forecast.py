@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_discrete
 from probeval import (
@@ -206,6 +208,33 @@ class TestMoments:
         f = DiscreteForecast([-1.0, 1.0], [0.5, 0.5])
         assert f.mean() == 0.0
         assert f.std() == 1.0
+
+    def test_a_support_spanning_the_float_range_has_a_finite_std(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert DiscreteForecast([-1.5e308, 1.5e308], [0.9, 0.1]).std() == 9e307
+
+    # Values far from the subnormals, whose squares would round differently
+    # at different scales.
+    value = st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(supports=st.lists(st.lists(value, min_size=1, max_size=5, unique=True),
+                             min_size=1, max_size=3),
+           weights=st.lists(st.integers(1, 9), min_size=15, max_size=15),
+           e=st.integers(0, 1000))
+    def test_stds_scale_exactly_by_a_power_of_two(self, supports, weights, e):
+        points = np.concatenate([np.sort(x) for x in supports])
+        assume(np.isfinite(np.ldexp(points, e)).all())
+        w = [np.array(weights[5 * i : 5 * i + len(x)], dtype=float) for i, x in enumerate(supports)]
+        probs = np.concatenate([v / v.sum() for v in w])
+        offsets = np.cumsum([0] + [len(x) for x in supports])
+        base = ForecastBatch(points, probs, offsets).stds()
+        with np.errstate(over="ignore"):
+            expected = np.ldexp(base, e)
+        finite = np.isfinite(expected)
+        got = ForecastBatch(np.ldexp(points, e), probs, offsets).stds()
+        assert got[finite].tobytes() == expected[finite].tobytes()
 
 
 class TestInvariants:

@@ -1,5 +1,7 @@
+import copy
 import csv
 import math
+import pickle
 
 import warnings
 from dataclasses import replace
@@ -731,6 +733,74 @@ class TestScoreBatch:
                 assert result.values.tobytes() == alone[name].values.tobytes(), name
 
 
+class TestFamilyWalks:
+    # Two support sizes, so the integrals and energy walks take two chunks each.
+    RECORDS = [ForecastRecord(str(i), y, f) for i, (y, f) in enumerate([
+        (0.3, TWO_POINT), (-1.0, SampleForecast([0.5, 2.0, 3.0])),
+        (1.0, TWO_POINT), (2.5, SampleForecast([0.0, 1.0, 4.0])),
+    ])]
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(scoring, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(scoring, name, counted)
+        return calls
+
+    def test_an_error_inside_a_walk_raises_without_a_rerun(self, monkeypatch):
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            raise RuntimeError("inside the walk")
+
+        monkeypatch.setattr(scoring, "_pieces", failing)
+        with pytest.raises(RuntimeError, match="inside the walk"):
+            score_batch(self.RECORDS, ["crps", "crls"])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec, builtin", [
+        (MetricSpec("my_crls", kernel=scoring.crls_kernel), "crls"),
+        (MetricSpec("w", weight_kind="center"), "wcrps_center"),
+    ])
+    def test_a_member_kernel_joins_its_walk(self, monkeypatch, spec, builtin):
+        expected = score_batch(self.RECORDS, [builtin])[builtin].values
+        calls = self.count_calls(monkeypatch, "_pieces")
+        results = score_batch(self.RECORDS, ["crps", spec])
+        assert len(calls) == 2  # one per chunk
+        assert results[spec.name].values.tobytes() == expected.tobytes()
+
+    def test_a_beta_joins_the_energy_walk(self, monkeypatch):
+        expected = score_batch(self.RECORDS, [MetricSpec("e07", beta=0.7)])["e07"].values
+        calls = self.count_calls(monkeypatch, "_energy_rows")
+        results = score_batch(self.RECORDS, ["energy_score_beta_0.5", MetricSpec("e07", beta=0.7)])
+        assert len(calls) == 2  # one per chunk
+        assert results["e07"].values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["crps", "crls", "wcrps_left", "energy_score_beta_0.5"])
+    def test_a_member_kernel_keeps_its_identity_when_pickled_or_copied(self, name):
+        spec = resolve_metric(name)
+        for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert clone.kernel is spec.kernel
+            assert score_batch(self.RECORDS, [clone])[name].values.tobytes() == \
+                score_batch(self.RECORDS, [spec])[name].values.tobytes()
+
+    def test_a_kernel_of_its_own_runs_alone(self, monkeypatch):
+        def mine(batch, targets, spec):
+            return scoring.crls_kernel(batch, targets, spec)
+
+        expected = score_batch(self.RECORDS, ["crls"])["crls"].values
+        calls = self.count_calls(monkeypatch, "_pieces")
+        results = score_batch(self.RECORDS, ["crps", MetricSpec("mine", kernel=mine)])
+        assert len(calls) == 4  # two chunks for the crps walk, two for mine
+        assert results["mine"].values.tobytes() == expected.tobytes()
+
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -764,19 +834,15 @@ class TestDiagnosticsAreScoreBatchMeans:
         pairs = [(rec.forecast, rec.target) for rec in records]
         assert coverage(pairs, 0.9) == results["coverage_90"].mean
 
-    def test_an_undefined_dispersion_is_nan_and_noted_as_omitted(self):
-        # ForecastBatch.variances squares the centred points, which overflows
-        # for a support spanning +-1e308 although its standard deviation is
-        # finite; that overflow is still an open item in ROADMAP.md.
+    def test_a_support_spanning_the_float_range_has_a_finite_spread(self):
+        # The squares of its centred points overflow, but its standard
+        # deviation (1e308) is finite, and so is the spread of the stds.
         forecasts = [DiscreteForecast([-1e308, 1e308], [0.5, 0.5]),
                      DiscreteForecast([0.0, 1.0], [0.5, 0.5])]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert sharpness(forecasts) == math.inf
-            with pytest.warns(ConversionWarning) as caught:
-                assert math.isnan(dispersion(forecasts))
-        assert [str(w.message) for w in caught] == [
-            "dispersion is undefined for this batch; omitted"
-        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sharpness(forecasts) == 5e307
+            assert dispersion(forecasts) == 5e307
 
 
 def test_rmse_and_r2_read_no_medians(monkeypatch):
