@@ -178,10 +178,11 @@ class DiscreteForecast:
         self.__dict__.update(points=batch.points, probs=batch.probs, batch=batch)
 
     def cdf(self, x):
-        """Right-continuous step CDF; accepts a scalar or an array."""
+        """Right-continuous step CDF of a scalar or an array; NaN where ``x`` is NaN."""
         x_arr = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.points, x_arr, side="right")
         out = np.where(idx > 0, self.batch.cdf[np.maximum(idx - 1, 0)], 0.0)
+        out = np.where(np.isnan(x_arr), math.nan, out)  # searchsorted puts NaN last
         return float(out) if x_arr.ndim == 0 else out
 
     def quantile(self, tau: float) -> float:

@@ -58,11 +58,9 @@ from .forecast import (
     DiscreteForecast,
     Forecast,
     ForecastBatch,
-    HistogramBatch,
     HistogramForecast,
     _bin_index,
     _row_sums,
-    to_discrete,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -413,8 +411,10 @@ def interval_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: Metri
     return (upper - lower) + penalty
 
 
-def _log_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
-    out = np.full(hists.offsets.size - 1, math.nan)
+def log_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    """Histogram log score; NaN for records without a histogram form."""
+    hists = batch.histograms()
+    out = np.full(batch.n, math.nan)
     for rows, cols in hists.by_bins.chunks():
         probs, edges = hists.probs[cols], hists.edges[cols]
         k, inside = _bin_index(edges, targets[rows, None])
@@ -422,7 +422,7 @@ def _log_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
         p = np.where(inside, np.maximum(probs[r, k], EPS_DENSITY), EPS_DENSITY)
         with np.errstate(over="ignore", divide="ignore"):
             width = edges[r, k + 1] - edges[r, k]
-            scores = -np.log(p / width)
+            scores = -np.log(p / width) + 0.0  # a density of exactly 1 scores 0.0, not -0.0
         # A bin narrower than about 1e-308 overflows the density, and one wider
         # than the float range its width: take the difference of logs there,
         # and only there, with the log of an overflowing width from its halves.
@@ -436,8 +436,14 @@ def _log_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _brier_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
-    out = np.full(hists.offsets.size - 1, math.nan)
+def brier_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    """Histogram Brier score; NaN for records without a histogram form.
+
+    Raises :class:`OutsideSupportError` for the first record, in record
+    order, whose observation lies outside its grid.
+    """
+    hists = batch.histograms()
+    out = np.full(batch.n, math.nan)
     outside = np.zeros(out.size, dtype=bool)
     for rows, cols in hists.by_bins.chunks():
         probs, edges = hists.probs[cols], hists.edges[cols]
@@ -454,20 +460,6 @@ def _brier_scores(hists: HistogramBatch, targets: np.ndarray) -> np.ndarray:
             index=r,
         )
     return out
-
-
-def log_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    """Histogram log score; NaN for records without a histogram form."""
-    return _log_scores(batch.histograms(), targets)
-
-
-def brier_score_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    """Histogram Brier score; NaN for records without a histogram form.
-
-    Raises :class:`OutsideSupportError` for the first record, in record
-    order, whose observation lies outside its grid.
-    """
-    return _brier_scores(batch.histograms(), targets)
 
 
 def mae_kernel(batch: ForecastBatch, targets: np.ndarray, spec: MetricSpec) -> np.ndarray:
@@ -530,31 +522,23 @@ def family_spec(family: str, value) -> MetricSpec:
     return replace(spec, name=name(value))
 
 
-_REGISTRY: dict[str, MetricSpec] = {}
-
-
-def _builtin_specs() -> list[MetricSpec]:
-    specs = [
-        MetricSpec("mae", kernel=mae_kernel),
-        MetricSpec("rmse", kernel=rmse_kernel),
-        MetricSpec("crps", kernel=crps_kernel),
-        MetricSpec("crls", kernel=crls_kernel),
-        MetricSpec("log_score", kernel=log_score_kernel),
-        MetricSpec("brier_score", kernel=brier_score_kernel),
-        MetricSpec("r2", orientation=HIGHER_BETTER, kernel=r2_kernel),
-    ]
-    specs += [family_spec("energy_score", beta) for beta in ENERGY_BETAS]
-    specs += [family_spec("wcrps", kind) for kind in ("left", "right", "center")]
-    specs += [family_spec("interval_score", alpha) for alpha in (0.10, 0.05)]
+_REGISTRY: dict[str, MetricSpec] = {spec.name: spec for spec in [
+    MetricSpec("mae", kernel=mae_kernel),
+    MetricSpec("rmse", kernel=rmse_kernel),
+    MetricSpec("crps", kernel=crps_kernel),
+    MetricSpec("crls", kernel=crls_kernel),
+    MetricSpec("log_score", kernel=log_score_kernel),
+    MetricSpec("brier_score", kernel=brier_score_kernel),
+    MetricSpec("r2", orientation=HIGHER_BETTER, kernel=r2_kernel),
+    *[family_spec("energy_score", beta) for beta in ENERGY_BETAS],
+    *[family_spec("wcrps", kind) for kind in ("left", "right", "center")],
+    *[family_spec("interval_score", alpha) for alpha in (0.10, 0.05)],
     # Calibration diagnostics share the identifier namespace so they can
     # be requested through the same batch interface.
-    specs += [MetricSpec("sharpness", kernel=sharpness_kernel),
-              MetricSpec("dispersion", kernel=dispersion_kernel)]
-    specs += [family_spec("coverage", level) for level in (0.90, 0.95)]
-    return specs
-
-
-_REGISTRY.update((spec.name, spec) for spec in _builtin_specs())
+    MetricSpec("sharpness", kernel=sharpness_kernel),
+    MetricSpec("dispersion", kernel=dispersion_kernel),
+    *[family_spec("coverage", level) for level in (0.90, 0.95)],
+]}
 
 METRIC_NAMES: tuple[str, ...] = tuple(_REGISTRY)
 
@@ -569,8 +553,11 @@ def resolve_metric(name: str) -> MetricSpec:
 
 
 def _one(spec: MetricSpec, forecast: Forecast, y: float) -> float:
-    """A kernel's value on the one-record batch of ``forecast``."""
-    return float(spec.kernel(to_discrete(forecast).batch, np.array([y], dtype=float), spec)[0])
+    """A kernel's value on the one-record batch of ``forecast``: its own
+    batch for a point-mass forecast, else the batch it packs into."""
+    batch = (forecast.batch if isinstance(forecast, DiscreteForecast)
+             else ForecastBatch.from_forecasts([forecast]))
+    return float(spec.kernel(batch, np.array([y], dtype=float), spec)[0])
 
 
 def crps(f: DiscreteForecast, y: float) -> float:
@@ -625,7 +612,7 @@ def log_score(h: HistogramForecast, y: float) -> float:
     below at 1e-12; an observation outside the grid is scored with the
     clamp mass over the nearest bin's width.
     """
-    return float(_log_scores(HistogramBatch.from_forecasts([h]), np.array([y], dtype=float))[0])
+    return _one(_REGISTRY["log_score"], h, y)
 
 
 def brier_score(h: HistogramForecast, y: float) -> float:
@@ -635,7 +622,7 @@ def brier_score(h: HistogramForecast, y: float) -> float:
     the grid, where the one-hot target is undefined; a silent worst-case
     value would corrupt downstream leaderboards.
     """
-    return float(_brier_scores(HistogramBatch.from_forecasts([h]), np.array([y], dtype=float))[0])
+    return _one(_REGISTRY["brier_score"], h, y)
 
 
 @dataclass(frozen=True)

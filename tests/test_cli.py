@@ -212,6 +212,15 @@ class TestScoreCommand:
         assert lines[0] == "id,target,log_score"
         assert lines[1].split(",")[2] != ""
 
+    def test_an_exact_zero_log_score_is_written_as_0_0(self, tmp_path, capsys):
+        path = self.forecasts_file(tmp_path, [
+            {"id": "z", "target": 0.5, "type": "histogram", "edges": [0, 1], "probs": [1]},
+        ])
+        out = tmp_path / "s.csv"
+        assert run_cli("score", "--forecasts", path, "--metrics", "log_score", "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "z,0.5,0.0"
+
     def test_bare_names_with_parameters(self, tmp_path):
         path = self.forecasts_file(tmp_path, [
             {"id": "a", "target": 0.0, "type": "samples", "values": [0.0, 1.0, 2.0]},

@@ -169,6 +169,13 @@ class TestCdf:
             for p in f.points:
                 assert f.cdf(p + eps) == pytest.approx(f.cdf(p), abs=1e-15)
 
+    def test_nan_is_nan_for_a_scalar_and_an_array(self):
+        f = DiscreteForecast([0.0, 1.0], [0.5, 0.5])
+        assert np.isnan(f.cdf(float("nan")))
+        got = f.cdf(np.array([np.nan, -1.0, 0.5, np.nan, 2.0]))
+        assert np.isnan(got[[0, 3]]).all()
+        assert got[[1, 2, 4]].tolist() == [0.0, 0.5, 1.0]
+
 
 class TestQuantile:
     def test_generalized_inverse(self):
@@ -389,6 +396,15 @@ class TestBatchConstructorErrors:
     def test_point_masses(self, points, probs, message):
         with pytest.raises(ValueError, match=message):
             DiscreteForecast(points, probs)
+
+    @pytest.mark.parametrize("probs", [[[1.0]], []])
+    def test_histogram_probs_of_the_wrong_shape(self, probs):
+        with pytest.raises(ValueError, match="probs must be a nonempty one-dimensional sequence"):
+            HistogramForecast([0, 1], probs)
+
+    def test_quantile_values_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="values must be one-dimensional"):
+            QuantileForecast([0.5], [[1.0]])
 
 
 class TestHistogramForm:

@@ -182,6 +182,17 @@ class TestLogScore:
     def test_unit_density(self):
         assert log_score(HistogramForecast([0, 1], [1.0]), 0.5) == 0.0
 
+    def test_an_exact_zero_is_positive(self):
+        assert math.copysign(1.0, log_score(HistogramForecast([0, 1], [1.0]), 0.5)) == 1.0
+
+    def test_quantiles_issue_the_batch_conversion_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            log_score(QuantileForecast([0.25, 0.75], [0.0, 1.0]), 0.5)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (ConversionWarning, "1 quantile record(s) converted to histograms for density scores"),
+        ]
+
     def test_wide_bin(self):
         assert log_score(HistogramForecast([0, 2], [1.0]), 0.5) == pytest.approx(math.log(2))
 
@@ -249,6 +260,11 @@ class TestBrierScore:
     def test_outside_support_raises(self):
         with pytest.raises(OutsideSupportError):
             brier_score(HistogramForecast([0, 1], [1.0]), 2.0)
+
+    def test_outside_support_names_the_observation_and_the_grid(self):
+        with pytest.raises(OutsideSupportError) as info:
+            brier_score(HistogramForecast([0, 1], [1.0]), 2.0)
+        assert str(info.value) == "observation 2.0 outside histogram support [0.0, 1.0]"
 
 
 class TestIntervalScore:
@@ -813,6 +829,20 @@ def corpus_records():
 def golden_mean_row() -> dict:
     with open(DATA / "scores_golden.csv", newline="") as fh:
         return next(row for row in csv.DictReader(fh) if row["id"] == "mean")
+
+
+@pytest.mark.parametrize("name, scalar", [("log_score", log_score), ("brier_score", brier_score)])
+def test_scalar_histogram_scores_give_the_golden_cells(name, scalar):
+    with open(DATA / "scores_golden.csv", newline="") as fh:
+        golden = {row["id"]: row[name] for row in csv.DictReader(fh)}
+    records = corpus_records()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConversionWarning)
+        cells = {}
+        for rec in records:
+            value = scalar(rec.forecast, rec.target)
+            cells[rec.id] = "" if math.isnan(value) else repr(value)
+    assert cells == {rec.id: golden[rec.id] for rec in records}
 
 
 class TestDiagnosticsAreScoreBatchMeans:
