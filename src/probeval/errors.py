@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one way to warn."""
+
+import sys
+import warnings
 
 
 class ProbevalError(Exception):
@@ -42,7 +45,7 @@ class UnknownMetricError(ProbevalError):
 
 
 class NotComparableError(ProbevalError):
-    """Fewer than two models share complete data, so ranking is impossible."""
+    """Models cannot be ranked: too few share complete data, or a cell's fold mean is NaN."""
 
 
 class NoInformativeDatasetsError(ProbevalError):
@@ -88,3 +91,11 @@ class DroppedDatasetWarning(UserWarning):
 
 class ConversionWarning(UserWarning):
     """A metric was computed through a lossy forecast conversion."""
+
+
+def warn(message: str, category: type[Warning]) -> None:
+    """Issue a warning that names the first caller outside this package."""
+    level, frame = 2, sys._getframe(1)
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith("probeval."):
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, category, stacklevel=level)

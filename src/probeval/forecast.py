@@ -23,7 +23,6 @@ here is pure, so instances are safe to share between workers.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator
 
@@ -34,6 +33,7 @@ from .errors import (
     InvalidLevelError,
     NotConvertibleError,
     QuantileCrossingWarning,
+    warn,
 )
 
 # Tolerance on total probability mass for validation and conversions.
@@ -138,11 +138,8 @@ class QuantileForecast:
             raise InvalidLevelError("quantile levels must lie strictly inside (0, 1)")
         crossings = int(np.sum(values[1:] < values[:-1]))
         if crossings:
-            warnings.warn(
-                f"{crossings} quantile crossing(s) repaired by monotone rearrangement",
-                QuantileCrossingWarning,
-                stacklevel=2,
-            )
+            warn(f"{crossings} quantile crossing(s) repaired by monotone rearrangement",
+                 QuantileCrossingWarning)
             values = np.sort(values)
             object.__setattr__(self, "repaired", True)
         object.__setattr__(self, "levels", levels)
@@ -440,14 +437,11 @@ class ForecastBatch:
             hists = (HistogramBatch.from_forecasts(self.sources) if self.sources else
                      HistogramBatch(np.empty(0), np.empty(0), np.zeros(self.n + 1, np.intp)))
             self.__dict__["_histograms"] = hists
-            converted = sum(isinstance(f, QuantileForecast) and f.levels.size > 1
-                            for f in self.sources)
+            converted = sum(isinstance(f, QuantileForecast) and bins > 0
+                            for f, bins in zip(self.sources, np.diff(hists.offsets).tolist()))
             if converted:
-                warnings.warn(
-                    f"{converted} quantile record(s) converted to histograms for density scores",
-                    ConversionWarning,
-                    stacklevel=4,  # the caller of score_batch, through a metric kernel
-                )
+                warn(f"{converted} quantile record(s) converted to histograms for density scores",
+                     ConversionWarning)
         return hists
 
 

@@ -27,6 +27,7 @@ from .errors import (
     ProbevalError,
     RecordParseError,
     UnknownFormError,
+    warn,
 )
 from .forecast import (
     MASS_TOL,
@@ -126,7 +127,7 @@ def _parse_forecast(line: str, line_no: int) -> tuple[dict, ForecastRecord]:
     except (ValueError, TypeError, OverflowError, RecursionError, ProbevalError) as exc:
         raise RecordParseError(line_no, str(exc)) from None
     for w in caught:
-        warnings.warn(f"line {line_no}, record {record_id!r}: {w.message}", w.category)
+        warn(f"line {line_no}, record {record_id!r}: {w.message}", w.category)
     return obj, ForecastRecord(id=record_id, target=y, forecast=forecast)
 
 

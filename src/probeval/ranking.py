@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
@@ -36,6 +35,7 @@ from .errors import (
     DroppedDatasetWarning,
     NoInformativeDatasetsError,
     NotComparableError,
+    warn,
 )
 from .scoring import LOWER_BETTER, MetricSpec, resolve_metric
 
@@ -186,9 +186,16 @@ def aggregate_folds(records: Iterable[RunRecord], metric: str | MetricSpec) -> S
     for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(values)]):
         runs = values[lo:hi]
         try:
-            means.append(math.fsum(runs) / len(runs))
+            mean = math.fsum(runs) / len(runs)
         except OverflowError:  # the sum passes the largest float, the mean need not
-            means.append(math.fsum(v / len(runs) for v in runs))
+            mean = math.fsum(v / len(runs) for v in runs)
+        except ValueError:  # +inf and -inf among the folds
+            mean = math.nan
+        if math.isnan(mean):
+            m, d = divmod(int(cell[lo]), len(datasets))
+            raise NotComparableError(f"model {models[m]!r} on dataset {datasets[d]!r}: "
+                                     f"the fold mean of {metric!r} is NaN")
+        means.append(mean)
     grid = np.empty((len(models), len(datasets)))
     present = np.zeros(grid.shape, dtype=bool)
     grid.flat[cell[starts]] = means
@@ -197,11 +204,8 @@ def aggregate_folds(records: Iterable[RunRecord], metric: str | MetricSpec) -> S
     complete = present.all(axis=0)
     for j in np.flatnonzero(~complete).tolist():
         missing = compress(models, ~present[:, j])
-        warnings.warn(
-            f"dataset {datasets[j]!r} dropped: no runs for {', '.join(missing)}",
-            DroppedDatasetWarning,
-            stacklevel=2,
-        )
+        warn(f"dataset {datasets[j]!r} dropped: no runs for {', '.join(missing)}",
+             DroppedDatasetWarning)
     if not complete.any():
         raise NotComparableError(f"no dataset has runs for every model on metric {metric!r}")
     return ScoreMatrix(
@@ -225,11 +229,7 @@ def drop_zero_variance(matrix: ScoreMatrix) -> ScoreMatrix:
     values = matrix.values
     keep = (values != values[0]).any(axis=0)
     for name in compress(matrix.datasets, ~keep):
-        warnings.warn(
-            f"dataset {name!r} dropped: all models scored identically",
-            DroppedDatasetWarning,
-            stacklevel=2,
-        )
+        warn(f"dataset {name!r} dropped: all models scored identically", DroppedDatasetWarning)
     if not keep.any():
         raise NoInformativeDatasetsError("every dataset has zero variance across models")
     return ScoreMatrix(

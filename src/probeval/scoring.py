@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
@@ -53,6 +52,7 @@ from .errors import (
     OutsideSupportError,
     ProbevalError,
     UnknownMetricError,
+    warn,
 )
 from .forecast import (
     DiscreteForecast,
@@ -734,5 +734,5 @@ def score_batch(
             continue
         else:
             message = f"{name} is undefined for this batch; omitted"
-        warnings.warn(message, ConversionWarning, stacklevel=2)
+        warn(message, ConversionWarning)
     return results

@@ -96,6 +96,18 @@ class TestAggregateFolds:
         with pytest.raises(NotComparableError):
             aggregate_folds(records, "rmse")
 
+    @pytest.mark.parametrize("folds", [[1.0, math.nan], [math.inf, -math.inf]],
+                             ids=["nan", "opposite-infinities"])
+    def test_a_nan_fold_mean_is_not_comparable(self, folds):
+        # Left in, the NaN cell would rank NaN and make every model significant.
+        records = runs_from_matrix([[0.0] * 10, [1.0] * 10])
+        records += [RunRecord("m0", "d3", k, "crps", v) for k, v in enumerate(folds, 1)]
+        message = "model 'm0' on dataset 'd3': the fold mean of 'crps' is NaN"
+        with pytest.raises(NotComparableError, match=message):
+            aggregate_folds(records, "crps")
+        with pytest.raises(NotComparableError, match=message):
+            build_leaderboard(records, "crps", nsim=2000)
+
 
 class TestDropZeroVariance:
     def test_constant_column_dropped(self):
