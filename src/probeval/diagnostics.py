@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .forecast import DiscreteForecast
-from .io import ForecastRecord
+from .forecast import DiscreteForecast, ForecastRecord
 from .scoring import MetricSpec, resolve_metric, score_batch
 
 

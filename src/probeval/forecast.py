@@ -23,6 +23,7 @@ here is pure, so instances are safe to share between workers.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator
 
@@ -45,13 +46,12 @@ MASS_TOL = 1e-9
 BLOCK_ELEMENTS = 1 << 14
 
 
-def _finite_1d(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty one-dimensional sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
-    return _readonly(arr.copy())
+def _as_field(value) -> np.ndarray | Exception:
+    """``value`` as a new float64 array, or the exception converting it raised."""
+    try:
+        return np.array(value, dtype=float)
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+        return exc
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -79,22 +79,7 @@ class HistogramForecast:
     probs: np.ndarray
 
     def __post_init__(self):
-        edges = _finite_1d(self.edges, "edges")
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probs must be a nonempty one-dimensional sequence")
-        if edges.size != probs.size + 1:
-            raise ValueError("len(edges) must equal len(probs) + 1")
-        if np.any(edges[1:] <= edges[:-1]):
-            raise ValueError("edges must be strictly increasing")
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
-            raise ValueError("probs must be finite and nonnegative")
-        with np.errstate(over="ignore"):  # an infinite total is rejected below
-            total = float(probs.sum())
-        if not 0 < total < math.inf:
-            raise ValueError("probs must carry positive, finite total mass")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "probs", _readonly(probs / total))
+        _construct(self, HistogramForecast)
 
     @property
     def widths(self) -> np.ndarray:
@@ -124,26 +109,7 @@ class QuantileForecast:
     repaired: bool = field(init=False, default=False)
 
     def __post_init__(self):
-        levels = _finite_1d(self.levels, "levels")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("values must be one-dimensional")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must contain only finite values")
-        if levels.size != values.size:
-            raise ValueError("levels and values must have the same length")
-        if np.any(levels[1:] <= levels[:-1]):
-            raise ValueError("levels must be strictly increasing")
-        if levels[0] <= 0.0 or levels[-1] >= 1.0:
-            raise InvalidLevelError("quantile levels must lie strictly inside (0, 1)")
-        crossings = int(np.sum(values[1:] < values[:-1]))
-        if crossings:
-            warn(f"{crossings} quantile crossing(s) repaired by monotone rearrangement",
-                 QuantileCrossingWarning)
-            values = np.sort(values)
-            object.__setattr__(self, "repaired", True)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "values", _readonly(values.copy()))
+        _construct(self, QuantileForecast)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +119,7 @@ class SampleForecast:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _finite_1d(self.values, "values"))
+        _construct(self, SampleForecast)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,6 +168,158 @@ class DiscreteForecast:
 
 
 Forecast = HistogramForecast | QuantileForecast | SampleForecast | DiscreteForecast
+
+
+# The problem of a field that converted to an array of other than one dimension.
+_NOT_1D = object()
+
+
+class _Checks:
+    """The records of one form checked in bulk, rule by rule in the order
+    its constructor states them.
+
+    ``fields[k]`` holds field k of every record laid end to end, record j's
+    part at ``fields[k][offsets[k][j]:offsets[k][j + 1]]``.  ``problems[k]``
+    maps each record whose field k is no one-dimensional array to the
+    exception converting it raised, or to _NOT_1D; that record fails when
+    its field k is first checked, whatever its part holds.  Each record
+    keeps the error of the first rule it breaks (``errors``).  A form's
+    check also sets ``crossings`` (quantiles) and, when no record failed,
+    ``checked``: the fields the forecasts hold.
+    """
+
+    def __init__(self, fields: list, offsets: list, problems: list):
+        self.fields, self.offsets, self.problems = fields, offsets, problems
+        self.lengths = [o[1:] - o[:-1] for o in offsets]
+        self.errors: dict[int, Exception] = {}
+        self.crossings: np.ndarray | None = None
+        self.checked: list | None = None
+
+    def fail(self, bad: np.ndarray, message: str, error: type = ValueError) -> None:
+        """Fail the records where the mask ``bad`` is True."""
+        self._fail(bad.nonzero()[0], message, error)
+
+    def fail_at(self, k: int, bad: np.ndarray, message: str) -> None:
+        """Fail the records holding a flat position of field k where ``bad`` is True."""
+        positions = bad.nonzero()[0]
+        if positions.size:
+            self._fail(np.searchsorted(self.offsets[k], positions, side="right") - 1, message)
+
+    def _fail(self, records: np.ndarray, message: str, error: type = ValueError) -> None:
+        for r in records.tolist():
+            if r not in self.errors:
+                self.errors[r] = error(message)
+
+    def shape(self, k: int, message: str, nonempty: bool = True) -> None:
+        """Field k is a one-dimensional array, nonempty where asked."""
+        for r, problem in self.problems[k].items():
+            if r not in self.errors:
+                self.errors[r] = ValueError(message) if problem is _NOT_1D else problem
+        if nonempty:
+            self.fail(self.lengths[k] == 0, message)
+
+    def finite(self, k: int, message: str) -> None:
+        self.fail_at(k, ~np.isfinite(self.fields[k]), message)
+
+    def neighbours(self, k: int, broken) -> np.ndarray:
+        """Mask of the flat positions i of field k where ``broken(x[i + 1], x[i])``
+        holds within a record."""
+        x, cut = self.fields[k], self.offsets[k][1:-1]
+        out = broken(x[1:], x[:-1])
+        if cut.size:
+            out[cut[(cut > 0) & (cut < x.size)] - 1] = False  # no order across records
+        return out
+
+
+def _check_histograms(c: _Checks) -> None:
+    c.shape(0, "edges must be a nonempty one-dimensional sequence")
+    c.finite(0, "edges must contain only finite values")
+    c.shape(1, "probs must be a nonempty one-dimensional sequence")
+    c.fail(c.lengths[0] != c.lengths[1] + 1, "len(edges) must equal len(probs) + 1")
+    c.fail_at(0, c.neighbours(0, np.less_equal), "edges must be strictly increasing")
+    probs = c.fields[1]
+    c.fail_at(1, ~np.isfinite(probs) | (probs < 0), "probs must be finite and nonnegative")
+    # Each record's total is numpy's sum of that record alone; a lone record
+    # is summed as it is.
+    if len(c.lengths[1]) == 1:
+        totals = probs.sum(keepdims=True)
+    else:
+        totals = np.zeros(c.lengths[1].size)
+        for rows, cols in _SizeGroups(c.offsets[1]).chunks():
+            totals[rows] = probs[cols].sum(axis=1)
+    c.fail(~((totals > 0) & (totals < math.inf)), "probs must carry positive, finite total mass")
+    if not c.errors:
+        c.checked = [c.fields[0], probs / np.repeat(totals, c.lengths[1])]
+
+
+def _check_quantiles(c: _Checks) -> None:
+    c.shape(0, "levels must be a nonempty one-dimensional sequence")
+    c.finite(0, "levels must contain only finite values")
+    c.shape(1, "values must be one-dimensional", nonempty=False)
+    c.finite(1, "values must contain only finite values")
+    c.fail(c.lengths[0] != c.lengths[1], "levels and values must have the same length")
+    c.fail_at(0, c.neighbours(0, np.less_equal), "levels must be strictly increasing")
+    levels, starts, nonempty = c.fields[0], c.offsets[0], c.lengths[0] > 0
+    outside = np.zeros(nonempty.size, dtype=bool)
+    outside[nonempty] = ((levels[starts[:-1][nonempty]] <= 0.0)
+                         | (levels[starts[1:][nonempty] - 1] >= 1.0))
+    c.fail(outside, "quantile levels must lie strictly inside (0, 1)", InvalidLevelError)
+    values, starts = c.fields[1], c.offsets[1]
+    crossed = c.neighbours(1, np.less).nonzero()[0]
+    c.crossings = np.bincount(np.searchsorted(starts, crossed, side="right") - 1,
+                              minlength=starts.size - 1)
+    if not c.errors:
+        for r in np.flatnonzero(c.crossings).tolist():
+            values[starts[r]:starts[r + 1]] = np.sort(values[starts[r]:starts[r + 1]])
+        c.checked = [levels, values]
+
+
+def _check_samples(c: _Checks) -> None:
+    c.shape(0, "values must be a nonempty one-dimensional sequence")
+    c.finite(0, "values must contain only finite values")
+    if not c.errors:
+        c.checked = [c.fields[0]]
+
+
+# The rules of each raw form, which its constructor and the file reader share.
+_CHECKS = {
+    HistogramForecast: _check_histograms,
+    QuantileForecast: _check_quantiles,
+    SampleForecast: _check_samples,
+}
+
+
+def _check(form: type, fields: list, offsets: list, problems: list) -> _Checks:
+    """Check the records of ``form`` laid out as :class:`_Checks` describes."""
+    checks = _Checks(fields, offsets, problems)
+    # A non-finite or overflowing total is a broken rule, not a note.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _CHECKS[form](checks)
+    return checks
+
+
+def _crossing_note(crossings: int) -> str:
+    return f"{crossings} quantile crossing(s) repaired by monotone rearrangement"
+
+
+def _construct(forecast, form: type) -> None:
+    """Check and store the fields of a new ``form`` instance: the rules of
+    :data:`_CHECKS` run on this one record."""
+    names = _INIT_FIELDS[form]
+    fields, problems = [], []
+    for name in names:
+        value = _as_field(getattr(forecast, name))
+        ok = isinstance(value, np.ndarray) and value.ndim == 1
+        fields.append(value if ok else np.empty(0))
+        problems.append({} if ok else {0: value if isinstance(value, Exception) else _NOT_1D})
+    checks = _check(form, fields, [np.array([0, f.size]) for f in fields], problems)
+    if checks.errors:
+        raise checks.errors[0]
+    if checks.crossings is not None and checks.crossings[0]:
+        warn(_crossing_note(int(checks.crossings[0])), QuantileCrossingWarning)
+        object.__setattr__(forecast, "repaired", True)
+    for name, value in zip(names, checks.checked):
+        object.__setattr__(forecast, name, _readonly(value))
 
 
 def _record_ids(offsets: np.ndarray) -> np.ndarray:
@@ -297,6 +415,8 @@ class ForecastBatch:
     exactly 1.0 at its last point; ``by_size`` groups the records by
     support size for every per-record computation.  Construction validates
     every record with the same errors as :class:`DiscreteForecast`.
+    ``columns`` holds the raw forecasts a batch was packed from, one
+    :class:`_FormColumns` per form, in the flat layout the converters read.
     """
 
     points: np.ndarray
@@ -304,7 +424,7 @@ class ForecastBatch:
     offsets: np.ndarray
     cdf: np.ndarray = field(init=False, repr=False)
     by_size: _SizeGroups = field(init=False, repr=False)
-    sources: tuple = field(init=False, repr=False, default=())
+    columns: tuple = field(init=False, repr=False, default=())
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
@@ -365,10 +485,14 @@ class ForecastBatch:
         exactly what the one-record conversion gives.
         """
         forecasts = tuple(forecasts)
-        points, probs, offsets = _gather(forecasts, _TO_MASSES)
+        return cls._from_columns(_columns(forecasts), len(forecasts))
+
+    @classmethod
+    def _from_columns(cls, columns: tuple, n: int) -> ForecastBatch:
+        """The batch of ``n`` records whose raw forecasts are ``columns``."""
         batch = object.__new__(cls)
-        batch._pack(points, probs, offsets)
-        object.__setattr__(batch, "sources", forecasts)
+        batch._pack(*_gather(columns, _TO_MASSES, n))
+        object.__setattr__(batch, "columns", columns)
         return batch
 
     @property
@@ -427,18 +551,17 @@ class ForecastBatch:
     def histograms(self) -> HistogramBatch:
         """Histogram form of every record (see :class:`HistogramBatch`).
 
-        Built on first use from the forecasts the batch was packed from; a
-        record without one (a batch built from point masses, or a record
-        view) has no bins.  Converting quantile records issues one
-        :class:`ConversionWarning`.
+        Built on first use from the batch's ``columns``; a record without
+        any (a batch built from point masses, or a record view) has no bins.
+        Converting quantile records issues one :class:`ConversionWarning`.
         """
         hists = self.__dict__.get("_histograms")
         if hists is None:
-            hists = (HistogramBatch.from_forecasts(self.sources) if self.sources else
-                     HistogramBatch(np.empty(0), np.empty(0), np.zeros(self.n + 1, np.intp)))
+            hists = HistogramBatch(*_gather(self.columns, _TO_BINS, self.n))
             self.__dict__["_histograms"] = hists
-            converted = sum(isinstance(f, QuantileForecast) and bins > 0
-                            for f, bins in zip(self.sources, np.diff(hists.offsets).tolist()))
+            bins = np.diff(hists.offsets)
+            converted = sum(int(np.count_nonzero(bins[c.rows]))
+                            for c in self.columns if c.form is QuantileForecast)
             if converted:
                 warn(f"{converted} quantile record(s) converted to histograms for density scores",
                      ConversionWarning)
@@ -467,7 +590,96 @@ class HistogramBatch:
     @classmethod
     def from_forecasts(cls, forecasts: Iterable[Forecast]) -> HistogramBatch:
         """Histograms as they are; quantiles through their level gaps."""
-        return cls(*_gather(tuple(forecasts), _TO_BINS))
+        forecasts = tuple(forecasts)
+        return cls(*_gather(_columns(forecasts), _TO_BINS, len(forecasts)))
+
+
+@dataclass(frozen=True)
+class ForecastRecord:
+    """One test instance: opaque id, observed target, one forecast form."""
+
+    id: str
+    target: float
+    forecast: Forecast
+
+
+@dataclass(frozen=True, eq=False)
+class ForecastTable(Sequence):
+    """Forecast records held as columns: a read-only sequence of :class:`ForecastRecord`.
+
+    ``ids`` holds the record ids, ``targets`` the observed targets as
+    float64, and ``batch`` the forecasts packed once, with the raw forms
+    in its ``columns``.  Indexing and iteration build the records; each
+    forecast is a view of the batch's columns.
+    """
+
+    ids: tuple
+    targets: np.ndarray
+    batch: ForecastBatch
+
+    def __post_init__(self):
+        self.targets.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        return ForecastRecord(self.ids[i], float(self.targets[i]), self._forecast(i))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def _forecast(self, i: int) -> Forecast:
+        """Record i's raw forecast, or its point masses where the batch holds none."""
+        for c in self.batch.columns:
+            j = int(np.searchsorted(c.rows, i))
+            if c.form in _CHECKS and j < c.rows.size and c.rows[j] == i:
+                return c.forecast(j)
+        return self.batch.record(i)
+
+
+@dataclass(frozen=True, eq=False)
+class _FormColumns:
+    """The records of one form in a batch, each field laid end to end.
+
+    Record j of the form is record ``rows[j]`` of its batch, and its field
+    k (in constructor order) is ``fields[k][offsets[k][j]:offsets[k][j + 1]]``;
+    ``repaired`` flags the quantile records whose crossings were sorted.
+    """
+
+    form: type
+    rows: np.ndarray
+    fields: tuple
+    offsets: tuple
+    repaired: np.ndarray | None = None
+
+    def forecast(self, j: int) -> Forecast:
+        """Record j of a raw form, a view of the columns."""
+        parts = [f[o[j] : o[j + 1]] for f, o in zip(self.fields, self.offsets)]
+        state = {} if self.repaired is None else {"repaired": bool(self.repaired[j])}
+        return _view(self.form, **dict(zip(_INIT_FIELDS[self.form], parts)), **state)
+
+
+def _columns(forecasts: tuple) -> tuple:
+    """One :class:`_FormColumns` per form of ``forecasts``, in order of first appearance."""
+    by_form: dict[type, list[int]] = {}
+    for i, f in enumerate(forecasts):
+        by_form.setdefault(_form_of(f), []).append(i)
+    columns = []
+    for form, rows in by_form.items():
+        group = [forecasts[i] for i in rows]
+        parts = [[getattr(f, name) for f in group] for name in _INIT_FIELDS[form]]
+        columns.append(_FormColumns(
+            form,
+            np.array(rows, dtype=np.intp),
+            tuple(_readonly(np.concatenate(field)) for field in parts),
+            tuple(_offsets([part.size for part in field]) for field in parts),
+            np.array([f.repaired for f in group]) if form is QuantileForecast else None,
+        ))
+    return tuple(columns)
 
 
 def _form_of(forecast) -> type:
@@ -477,29 +689,22 @@ def _form_of(forecast) -> type:
     raise TypeError(f"not a forecast: {type(forecast).__name__}")
 
 
-def _gather(forecasts: tuple, table: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, masses, offsets) of ``forecasts`` packed in CSR layout.
+def _gather(columns: tuple, table: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, masses, offsets) of ``n`` records packed in CSR layout.
 
-    The records of each form are converted in bulk by that form's entry of
-    ``table``, which takes the form's fields laid end to end and the
-    offsets of the last one, and returns flat values, flat masses and one
-    size per record; a form without an entry gives empty records.
+    The records of each form in ``columns`` are converted in bulk by that
+    form's entry of ``table``, which takes the form's fields laid end to
+    end and the offsets of the last one, and returns flat values, flat
+    masses and one size per record; a form without an entry, or a record
+    in no column, gives empty records.
     """
-    by_form: dict[type, list[int]] = {}
-    for i, f in enumerate(forecasts):
-        by_form.setdefault(_form_of(f), []).append(i)
-    lengths = np.zeros(len(forecasts), dtype=np.intp)
+    lengths = np.zeros(n, dtype=np.intp)
     parts = []
-    for form, rows in by_form.items():
-        if form in table:
-            group = [forecasts[i] for i in rows]
-            names = _INIT_FIELDS[form]
-            part_values, part_masses, sizes = table[form](
-                *(np.concatenate([getattr(f, name) for f in group]) for name in names),
-                _offsets([getattr(f, names[-1]).size for f in group]),
-            )
-            lengths[rows] = sizes
-            parts.append((rows, part_values, part_masses, sizes))
+    for c in columns:
+        if c.form in table:
+            part_values, part_masses, sizes = table[c.form](*c.fields, c.offsets[-1])
+            lengths[c.rows] = sizes
+            parts.append((c.rows, part_values, part_masses, sizes))
     offsets = _offsets(lengths)
     values = np.empty(offsets[-1])
     masses = np.empty(offsets[-1])

@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import reprlib
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -24,18 +23,27 @@ from .errors import (
     AmbiguousFormError,
     DuplicateKeyError,
     InvalidValueError,
-    ProbevalError,
+    QuantileCrossingWarning,
     RecordParseError,
     UnknownFormError,
     warn,
 )
 from .forecast import (
+    _INIT_FIELDS,
+    _NOT_1D,
     MASS_TOL,
-    Forecast,
+    ForecastBatch,
+    ForecastRecord,
+    ForecastTable,
     HistogramForecast,
     QuantileForecast,
     SampleForecast,
-    _INIT_FIELDS,
+    _as_field,
+    _check,
+    _crossing_note,
+    _FormColumns,
+    _offsets,
+    _readonly,
 )
 from .ranking import LeaderboardRow, RunRecord, RunTable, _Codes, _intern
 from .scoring import ScoreResult
@@ -52,30 +60,43 @@ _FORMS = {
 _FORM_KEYS = tuple(dict.fromkeys(key for _, keys in _FORMS.values() for key in keys))
 
 
-@dataclass(frozen=True)
-class ForecastRecord:
-    """One test instance: opaque id, observed target, one forecast form."""
-
-    id: str
-    target: float
-    forecast: Forecast
-
-
 def _reject_constant(value):
     raise ValueError(f"non-finite JSON constant {value!r}")
 
 
-_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+class _RepeatedKey(Exception):
+    """A JSON object names one key twice."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(f"repeated key {reprlib.repr(key)}")
+            seen.add(key)
+    return obj
+
+
+_JSON = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
 
 # The Python types of a JSON number.  bool is an int subclass, but JSON
 # true/false is not a number.
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _parse_forecast(line: str, line_no: int) -> tuple[dict, ForecastRecord]:
-    """Turn one JSON line into its decoded object and its record, or raise."""
+def _parse_forecast(line: str, line_no: int) -> tuple:
+    """Decode one JSON line and check its keys and types, or raise.
+
+    Returns (form, id, target, field values).  An id that could never be
+    written out is returned as its error: it counts only if the record
+    passes the rules of its form, which are checked in bulk and come first.
+    """
     try:
         obj = _JSON.decode(line)
+    except _RepeatedKey as exc:
+        raise RecordParseError(line_no, str(exc)) from None
     except (ValueError, RecursionError) as exc:
         raise RecordParseError(line_no, f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -112,54 +133,165 @@ def _parse_forecast(line: str, line_no: int) -> tuple[dict, ForecastRecord]:
             raise RecordParseError(
                 line_no, f"{key} must contain only numbers, got {reprlib.repr(bad)}"
             )
-    args = [obj[key] for key in keys]
-    caught: list[warnings.WarningMessage] = []
     try:
-        if cls is QuantileForecast:
-            # A crossing repair is re-issued below with the record's line and id.
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                forecast = cls(*args)
-        else:
-            forecast = cls(*args)
         record_id = str(obj["id"])
         record_id.encode("utf-8")  # a lone surrogate escape could never be written out
-    except (ValueError, TypeError, OverflowError, RecursionError, ProbevalError) as exc:
-        raise RecordParseError(line_no, str(exc)) from None
-    for w in caught:
-        warn(f"line {line_no}, record {record_id!r}: {w.message}", w.category)
-    return obj, ForecastRecord(id=record_id, target=y, forecast=forecast)
+    except (ValueError, RecursionError) as exc:
+        record_id = RecordParseError(line_no, str(exc))
+    return cls, record_id, y, [obj[key] for key in keys]
 
 
-def _scan_forecasts(path) -> Iterator[tuple[int, dict | None, ForecastRecord | RecordParseError]]:
-    """Yield (line number, decoded object or None, record or error) per non-blank line."""
+class _FormBuffer:
+    """The records of one form: each one's row among the file's records, its
+    line, and its fields in columns.  :meth:`finish` checks them in bulk.
+
+    Each line's values are converted to float64 as the line is read, so no
+    more than one line's values are ever held as Python floats.  A field
+    that is no list of numbers a float can hold gets an empty part and, in
+    ``problems``, the error converting it gives, as
+    :class:`forecast._Checks` takes it.
+    """
+
+    def __init__(self, form: type):
+        import array  # not at start-up: only reading a forecast file needs it
+
+        self.form = form
+        self.rows: list[int] = []
+        self.lines: list[int] = []
+        self.id_errors: dict[int, RecordParseError] = {}
+        n_fields = len(_INIT_FIELDS[form])
+        self.values = [array.array("d") for _ in range(n_fields)]
+        self.lengths: list[list[int]] = [[] for _ in range(n_fields)]
+        self.problems: list[dict] = [{} for _ in range(n_fields)]
+        self.failed: dict[int, RecordParseError] = {}
+        self.checks = None
+
+    def add(self, row: int, line: int, record_id, fields: list) -> None:
+        j = len(self.rows)
+        if type(record_id) is not str:
+            self.id_errors[j] = record_id
+        self.rows.append(row)
+        self.lines.append(line)
+        for values, lengths, problems, field in zip(self.values, self.lengths, self.problems,
+                                                    fields):
+            size = len(values)
+            if type(field) is list:
+                try:
+                    values.extend(field)
+                except OverflowError as exc:  # an integer too large for a float
+                    del values[size:]
+                    problems[j] = exc
+            else:
+                # A JSON value other than a list converts to no one-dimensional array.
+                problem = _as_field(field)
+                problems[j] = problem if isinstance(problem, Exception) else _NOT_1D
+            lengths.append(len(values) - size)
+
+    def finish(self) -> None:
+        """Check every record; ``failed`` maps each one rejected to its error."""
+        self.checks = _check(self.form, [np.frombuffer(v, dtype=float) for v in self.values],
+                             [_offsets(lengths) for lengths in self.lengths], self.problems)
+        for j, exc in self.checks.errors.items():
+            self.failed[j] = RecordParseError(self.lines[j], str(exc))
+        for j, error in self.id_errors.items():
+            self.failed.setdefault(j, error)
+
+    def accepted(self) -> Iterator[int]:
+        return (j for j in range(len(self.rows)) if j not in self.failed)
+
+    def columns(self) -> _FormColumns:
+        c = self.checks
+        return _FormColumns(
+            self.form, np.array(self.rows, dtype=np.intp), tuple(map(_readonly, c.checked)),
+            tuple(map(_readonly, c.offsets)), None if c.crossings is None else c.crossings > 0,
+        )
+
+
+class _ForecastColumns:
+    """The records of a forecast file, read into per-form columns.
+
+    Each line is decoded and its keys and types checked as it is read;
+    :meth:`finish` checks the rules of each form in bulk.  ``errors`` then
+    holds every rejected line's error, in line order.
+    """
+
+    def __init__(self):
+        self.n_records = 0
+        self.errors: list[RecordParseError] = []
+        self.ids: list = []
+        self.targets: list[float] = []
+        self.forms = {cls: _FormBuffer(cls) for cls, _ in _FORMS.values()}
+
+    def reject(self, error: RecordParseError) -> None:
+        self.n_records += 1
+        self.errors.append(error)
+
+    def add(self, line: int, form: type, record_id, target: float, values: list) -> None:
+        self.n_records += 1
+        self.forms[form].add(len(self.targets), line, record_id, values)
+        self.ids.append(record_id)
+        self.targets.append(target)
+
+    def finish(self) -> None:
+        for buffer in self.forms.values():
+            buffer.finish()
+            self.errors += buffer.failed.values()
+        self.errors.sort(key=lambda error: error.line)
+
+    def repairs(self) -> list[tuple[int, str, int]]:
+        """(line, id, crossings) of each accepted quantile record whose crossings were sorted."""
+        quantiles = self.forms[QuantileForecast]
+        crossings = quantiles.checks.crossings
+        return [(quantiles.lines[j], self.ids[quantiles.rows[j]], int(crossings[j]))
+                for j in quantiles.accepted() if crossings[j]]
+
+    def table(self) -> ForecastTable:
+        """The records as a table; only when no line was rejected."""
+        columns = tuple(b.columns() for b in self.forms.values() if b.rows)
+        batch = ForecastBatch._from_columns(columns, len(self.targets))
+        return ForecastTable(tuple(self.ids), np.array(self.targets, dtype=float), batch)
+
+
+def _scan_forecasts(path, whole: bool) -> _ForecastColumns:
+    """Read and check the lines of a forecast file: every line if ``whole``,
+    else up to the first line rejected on its own."""
+    columns = _ForecastColumns()
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                obj, record = _parse_forecast(line, line_no)
+                columns.add(line_no, *_parse_forecast(line, line_no))
+                continue
             except UnicodeDecodeError as exc:
-                yield line_no, None, RecordParseError(line_no, f"not valid UTF-8: {exc}")
+                columns.reject(RecordParseError(line_no, f"not valid UTF-8: {exc}"))
             except RecordParseError as exc:
-                yield line_no, None, exc
-            else:
-                yield line_no, obj, record
+                columns.reject(exc)
+            if not whole:
+                break
+    columns.finish()
+    return columns
 
 
-def read_forecasts(path) -> list[ForecastRecord]:
-    """Parse a forecast record stream, preserving file order.
+def read_forecasts(path) -> ForecastTable:
+    """Parse a forecast record stream into a :class:`ForecastTable`, in file order.
 
     Raises a :class:`RecordParseError` (or a subclass) carrying the line
-    number of the first malformed record.
+    number of the first malformed record, after a
+    :class:`QuantileCrossingWarning` for each record before it whose
+    crossing quantiles were sorted.
     """
-    records = []
-    for _, _, result in _scan_forecasts(path):
-        if isinstance(result, RecordParseError):
-            raise result
-        records.append(result)
-    return records
+    # The lines after one rejected on its own cannot hold the first error.
+    columns = _scan_forecasts(path, whole=False)
+    first = columns.errors[0].line if columns.errors else math.inf
+    for line, record_id, crossings in columns.repairs():
+        if line < first:
+            warn(f"line {line}, record {record_id!r}: {_crossing_note(crossings)}",
+                 QuantileCrossingWarning)
+    if columns.errors:
+        raise columns.errors[0]
+    return columns.table()
 
 
 def write_forecasts(records: Iterable[ForecastRecord], path) -> None:
@@ -397,9 +529,14 @@ def write_scores(
 
     One column per metric; per-instance cells are empty for batch-level
     metrics (rmse, r2, dispersion) and for records where a metric is
-    undefined, while the mean row always carries the batch score.
+    undefined, while the mean row always carries the batch score.  A
+    :class:`ForecastTable`'s ids and targets are read from its columns.
     """
     names = list(results)
+    if isinstance(records, ForecastTable):
+        ids, targets = records.ids, records.targets.tolist()
+    else:
+        ids, targets = [rec.id for rec in records], [rec.target for rec in records]
     # Checked before the file is opened, so that no partial table is left.
     for name in names:
         values = results[name].values
@@ -412,8 +549,8 @@ def write_scores(
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "target", *names])
-        # One generator per column: each row is formatted as it is written.
-        columns = [(rec.id for rec in records), (repr(rec.target) for rec in records)]
+        # One iterable per column: each row is formatted as it is written.
+        columns = [ids, map(repr, targets)]
         for name in names:
             values = results[name].values
             if values is None:
@@ -442,29 +579,21 @@ def validate_forecast_file(path) -> tuple[int, int, list[Violation]]:
     mass is off 1 by more than ``MASS_TOL``, and quantile crossings
     repaired by sorting.
     """
-    violations: list[Violation] = []
-    n_records = 0
-    repaired = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for line_no, obj, record in _scan_forecasts(path):
-            n_records += 1
-            if isinstance(record, RecordParseError):
-                violations.append(Violation(line_no, record.message))
-                continue
-            f = record.forecast
-            if isinstance(f, HistogramForecast):
-                total = math.fsum(np.asarray(obj["probs"], dtype=float).tolist())
-                if abs(total - 1.0) > MASS_TOL:
-                    violations.append(
-                        Violation(line_no, f"probability mass sums to {total!r}, not 1")
-                    )
-            if isinstance(f, QuantileForecast) and f.repaired:
-                repaired += 1
-                violations.append(
-                    Violation(line_no, "non-monotone quantile values (repaired by sorting)")
-                )
-    return n_records, repaired, violations
+    columns = _scan_forecasts(path, whole=True)
+    violations = [Violation(error.line, error.message) for error in columns.errors]
+    histograms = columns.forms[HistogramForecast]
+    probs, offsets = histograms.checks.fields[1], histograms.checks.offsets[1]
+    for j in histograms.accepted():
+        total = math.fsum(probs[offsets[j] : offsets[j + 1]].tolist())
+        if abs(total - 1.0) > MASS_TOL:
+            violations.append(
+                Violation(histograms.lines[j], f"probability mass sums to {total!r}, not 1")
+            )
+    repairs = columns.repairs()
+    violations += [Violation(line, "non-monotone quantile values (repaired by sorting)")
+                   for line, _, _ in repairs]
+    violations.sort(key=lambda v: v.line)
+    return columns.n_records, len(repairs), violations
 
 
 def validate_run_file(path) -> tuple[int, list[Violation]]:

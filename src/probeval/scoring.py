@@ -39,7 +39,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -58,13 +58,12 @@ from .forecast import (
     DiscreteForecast,
     Forecast,
     ForecastBatch,
+    ForecastRecord,
+    ForecastTable,
     HistogramForecast,
     _bin_index,
     _row_sums,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .io import ForecastRecord
 
 LOWER_BETTER = "lower_better"
 HIGHER_BETTER = "higher_better"
@@ -668,14 +667,16 @@ class ScoreResult:
 
 
 def score_batch(
-    records: Sequence["ForecastRecord"],
+    records: Sequence[ForecastRecord],
     specs: Sequence[MetricSpec | str],
 ) -> dict[str, ScoreResult]:
     """Score every requested metric over a batch of forecast records.
 
-    Records need ``target`` and ``forecast`` attributes (see
-    :class:`probeval.io.ForecastRecord`).  The forecasts are packed into
-    one :class:`ForecastBatch` and each metric's kernel runs over it; the
+    ``records`` is a :class:`ForecastTable`, whose packed batch and
+    targets are scored as they are, or any sequence of records with
+    ``target`` and ``forecast`` attributes (see :class:`ForecastRecord`),
+    whose forecasts are packed into one :class:`ForecastBatch`.  Each
+    metric's kernel runs over the batch; the
     members of a family (the energy scores; CRPS, CRLS and wCRPS) are
     scored in one walk, each with the bytes it gets alone.
     Histogram-only metrics (log score, Brier) are computed through the
@@ -684,16 +685,21 @@ def score_batch(
     batch target mean and population standard deviation.  Two different
     specs with one name raise :class:`UnknownMetricError`.
     """
-    records = list(records)
-    if not records:
+    table = records if isinstance(records, ForecastTable) else None
+    if table is None:
+        records = list(records)
+    if not len(records):
         raise EmptyBatchError("no forecast records to score")
     resolved: dict[str, MetricSpec] = {}
     for spec in specs:
         spec = resolve_metric(spec) if isinstance(spec, str) else spec
         if resolved.setdefault(spec.name, spec) != spec:
             raise UnknownMetricError(f"two different metrics are named {spec.name!r}")
-    targets = np.array([rec.target for rec in records], dtype=float)
-    batch = ForecastBatch.from_forecasts(rec.forecast for rec in records)
+    if table is None:
+        targets = np.array([rec.target for rec in records], dtype=float)
+        batch = ForecastBatch.from_forecasts(rec.forecast for rec in records)
+    else:
+        targets, batch = table.targets, table.batch
 
     results: dict[str, ScoreResult] = {}
     columns: dict[str, np.ndarray] = {}

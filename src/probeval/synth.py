@@ -21,8 +21,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidScenarioError
-from .forecast import DiscreteForecast, HistogramForecast
-from .io import ForecastRecord
+from .forecast import DiscreteForecast, ForecastRecord, HistogramForecast
 from .ranking import RunRecord
 from .scoring import resolve_metric
 

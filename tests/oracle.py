@@ -9,13 +9,18 @@ score in the kernel's own operation order, which the kernel must match
 byte for byte.  ``permutation_null`` is the Monte
 Carlo null as first written, a stable argsort per row of hash keys, and
 ``exact_p`` is its exact limit.  ``read_runs`` and ``validate_run_file``
-parse a run-record CSV one row at a time, as the reader was first written.
+parse a run-record CSV one row at a time, as the reader was first written;
+``read_forecasts`` and ``validate_forecast_file`` do the same for a
+forecast file, checking each record with the forecast constructors' rules
+as they were first written, one ``if`` after another.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import reprlib
 from collections import Counter
 from fractions import Fraction
 
@@ -23,7 +28,14 @@ import numpy as np
 from scipy.special import ndtr
 
 from probeval import DiscreteForecast, HistogramForecast, QuantileForecast, SampleForecast, rng
-from probeval.errors import DuplicateKeyError, InvalidValueError, RecordParseError
+from probeval.errors import (
+    AmbiguousFormError,
+    DuplicateKeyError,
+    InvalidLevelError,
+    InvalidValueError,
+    RecordParseError,
+    UnknownFormError,
+)
 from probeval.io import RUNS_HEADER, Violation
 from probeval.ranking import _SHUFFLE_STREAM, RunRecord
 
@@ -334,3 +346,175 @@ def validate_run_file(path):
     except RecordParseError as exc:
         violations.append(Violation(exc.line, exc.message))
     return n_rows, violations
+
+
+def _finite_1d(values, name):
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty one-dimensional sequence")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must contain only finite values")
+    return arr.copy()
+
+
+def _histogram_fields(edges, probs):
+    edges = _finite_1d(edges, "edges")
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValueError("probs must be a nonempty one-dimensional sequence")
+    if edges.size != probs.size + 1:
+        raise ValueError("len(edges) must equal len(probs) + 1")
+    if np.any(edges[1:] <= edges[:-1]):
+        raise ValueError("edges must be strictly increasing")
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+        raise ValueError("probs must be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        total = float(probs.sum())
+    if not 0 < total < math.inf:
+        raise ValueError("probs must carry positive, finite total mass")
+    return {"edges": edges, "probs": probs / total}, 0
+
+
+def _quantile_fields(levels, values):
+    levels = _finite_1d(levels, "levels")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must contain only finite values")
+    if levels.size != values.size:
+        raise ValueError("levels and values must have the same length")
+    if np.any(levels[1:] <= levels[:-1]):
+        raise ValueError("levels must be strictly increasing")
+    if levels[0] <= 0.0 or levels[-1] >= 1.0:
+        raise InvalidLevelError("quantile levels must lie strictly inside (0, 1)")
+    crossings = int(np.sum(values[1:] < values[:-1]))
+    return {"levels": levels, "values": np.sort(values) if crossings else values.copy()}, crossings
+
+
+def _sample_fields(values):
+    return {"values": _finite_1d(values, "values")}, 0
+
+
+# Each forecast type: its JSON keys and its rules.
+FORECAST_FORMS = {
+    "histogram": (("edges", "probs"), _histogram_fields),
+    "quantiles": (("levels", "values"), _quantile_fields),
+    "samples": (("values",), _sample_fields),
+}
+_FORECAST_KEYS = ("edges", "probs", "levels", "values")
+
+
+def _no_repeated_keys(pairs):
+    keys = [key for key, _ in pairs]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise KeyError(key)
+    return dict(pairs)
+
+
+def _reject_constant(value):
+    raise ValueError(f"non-finite JSON constant {value!r}")
+
+
+def _parse_forecast(line, line_no):
+    """((id, target, type, fields, crossings), decoded object) of one JSON line, or raise."""
+    try:
+        obj = json.loads(line, parse_constant=_reject_constant,
+                         object_pairs_hook=_no_repeated_keys)
+    except KeyError as exc:
+        raise RecordParseError(line_no, f"repeated key {reprlib.repr(exc.args[0])}") from None
+    except (ValueError, RecursionError) as exc:
+        raise RecordParseError(line_no, f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise RecordParseError(line_no, "record must be a JSON object")
+    if "type" not in obj:
+        raise RecordParseError(line_no, "missing forecast 'type'")
+    form = obj["type"]
+    if not isinstance(form, str) or form not in FORECAST_FORMS:
+        raise UnknownFormError(line_no, f"unknown forecast type {reprlib.repr(form)}")
+    keys, rules = FORECAST_FORMS[form]
+    foreign = [k for k in _FORECAST_KEYS if k in obj and k not in keys]
+    if foreign:
+        raise AmbiguousFormError(
+            line_no, f"{form} record also carries {', '.join(foreign)}; exactly one form allowed"
+        )
+    for key in ("id", "target", *keys):
+        if key not in obj:
+            raise RecordParseError(line_no, f"missing field {key!r}")
+    target = obj["target"]
+    try:
+        y = float(target) if type(target) in (int, float) else math.nan
+    except OverflowError:
+        y = math.inf
+    if not math.isfinite(y):
+        raise RecordParseError(
+            line_no, f"target must be a finite number, got {reprlib.repr(target)}"
+        )
+    for key in keys:
+        values = obj[key]
+        if isinstance(values, list):
+            for v in values:
+                if type(v) not in (int, float):
+                    raise RecordParseError(
+                        line_no, f"{key} must contain only numbers, got {reprlib.repr(v)}"
+                    )
+    try:
+        fields, crossings = rules(*(obj[key] for key in keys))
+        record_id = str(obj["id"])
+        record_id.encode("utf-8")
+    except (ValueError, TypeError, OverflowError, RecursionError, InvalidLevelError) as exc:
+        raise RecordParseError(line_no, str(exc)) from None
+    return (record_id, y, form, fields, crossings), obj
+
+
+def scan_forecasts(path):
+    """Yield (line number, (record, object) or error) per non-blank line of a forecast file."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                yield line_no, _parse_forecast(line, line_no)
+            except UnicodeDecodeError as exc:
+                yield line_no, RecordParseError(line_no, f"not valid UTF-8: {exc}")
+            except RecordParseError as exc:
+                yield line_no, exc
+
+
+def read_forecasts(path):
+    """(records, crossing notes, first error) of a forecast file, read up to
+    its first malformed line; records is None when there is one.  A record
+    is (id, target, type, {field: float64 array}, crossings repaired)."""
+    records, notes = [], []
+    for line_no, result in scan_forecasts(path):
+        if isinstance(result, RecordParseError):
+            return None, notes, result
+        record, _ = result
+        record_id, _, _, _, crossings = record
+        if crossings:
+            notes.append(f"line {line_no}, record {record_id!r}: {crossings} quantile "
+                         "crossing(s) repaired by monotone rearrangement")
+        records.append(record)
+    return records, notes, None
+
+
+def validate_forecast_file(path):
+    """(records seen, quantile records repaired, violations) of a forecast file."""
+    violations = []
+    n_records = repaired = 0
+    for line_no, result in scan_forecasts(path):
+        n_records += 1
+        if isinstance(result, RecordParseError):
+            violations.append(Violation(line_no, result.message))
+            continue
+        (_, _, form, _, crossings), obj = result
+        if form == "histogram":
+            total = math.fsum(np.asarray(obj["probs"], dtype=float).tolist())
+            if abs(total - 1.0) > 1e-9:
+                violations.append(Violation(line_no, f"probability mass sums to {total!r}, not 1"))
+        if crossings:
+            repaired += 1
+            violations.append(Violation(line_no, "non-monotone quantile values (repaired by sorting)"))
+    return n_records, repaired, violations

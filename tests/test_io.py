@@ -13,6 +13,7 @@ import oracle
 from probeval import io
 from probeval import (
     DiscreteForecast,
+    ForecastBatch,
     HistogramForecast,
     LeaderboardRow,
     QuantileForecast,
@@ -35,6 +36,7 @@ from probeval.errors import (
     DuplicateKeyError,
     InvalidValueError,
     ProbevalError,
+    QuantileCrossingWarning,
     RecordParseError,
     UnknownFormError,
 )
@@ -49,7 +51,7 @@ class TestReadForecasts:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
-        assert read_forecasts(path) == []
+        assert list(read_forecasts(path)) == []
 
     def test_single_histogram_record(self, tmp_path):
         path = tmp_path / "one.jsonl"
@@ -330,6 +332,208 @@ class TestRunReaderMatchesTheRowOracle:
         write_runs(records, path)
         table = read_runs(path)
         assert aggregated(table) == aggregated(list(table)) == aggregated(records)
+
+
+BIG_INT = "1" + "0" * 400
+# Number tokens of a forecast line: ordinary, signed zero, subnormal, near
+# and past the float range, and integers too large for a float.
+NUMBERS = ["0", "1", "2", "-1", "0.5", "3", "-0.0", "1e-320", "1e308", "1e999", "-1e999",
+           BIG_INT, "-" + BIG_INT]
+JUNK_ELEMENTS = ["true", "null", '"1"', "[1]", "{}"]
+JUNK_FIELDS = ["null", '"x"', "1.5", "{}", "true", '"1.5"', "[[1]]", "[]", "[" * 40 + "]" * 40]
+FORECAST_KEYS = {"histogram": ("edges", "probs"), "quantiles": ("levels", "values"),
+                 "samples": ("values",)}
+FORM_NAMES = {HistogramForecast: "histogram", QuantileForecast: "quantiles",
+              SampleForecast: "samples"}
+
+
+@st.composite
+def forecast_line(draw) -> bytes:
+    """A forecast record with up to two mutations, or a line that is no record."""
+    if draw(st.integers(0, 8)) == 0:
+        return draw(st.sampled_from([
+            b"", b"  \t", b"not json", b"[]", b'{"type": "gaussian"}', b'{"id": "a"}', b"\xff",
+            b'{"id": "\xff", "target": 0, "type": "samples", "values": [1]}',
+        ]))
+    form = draw(st.sampled_from(sorted(FORECAST_KEYS)))
+    size = draw(st.integers(1, 4))
+    if form == "histogram":
+        edges = draw(st.lists(st.sampled_from(["-1", "0", "0.5", "1", "2", "3"]),
+                              min_size=size + 1, max_size=size + 1, unique=True))
+        probs = st.sampled_from(["0", "0.5", "1", "2", "1e308", "1e-320"])
+        fields = [sorted(edges, key=float), draw(st.lists(probs, min_size=size, max_size=size))]
+    elif form == "quantiles":
+        levels = draw(st.lists(st.sampled_from(["0.1", "0.25", "0.5", "0.75", "0.9"]),
+                               min_size=size, max_size=size, unique=True))
+        values = st.sampled_from(["-1", "0", "0.5", "1", "2", "-0.0"])
+        fields = [sorted(levels, key=float), draw(st.lists(values, min_size=size, max_size=size))]
+    else:
+        fields = [draw(st.lists(st.sampled_from(NUMBERS[:8]), min_size=size, max_size=size))]
+    # An id that cannot be written out fails only a record its form's rules pass.
+    record_id = draw(st.sampled_from(['"r"', '"r"', '"r"', '"\\udc80"', "5"]))
+    pairs = [["id", record_id], ["target", "0.5"], ["type", f'"{form}"'],
+             *map(list, zip(FORECAST_KEYS[form], fields))]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["element", "element", "field", "reverse", "length", "id",
+                                     "target", "type", "drop", "foreign", "repeat"]))
+        pair = draw(st.sampled_from(pairs)) if pairs else None
+        value = pair[1] if pair else None
+        if kind == "element" and isinstance(value, list) and value:
+            value[draw(st.integers(0, len(value) - 1))] = draw(
+                st.sampled_from(NUMBERS + JUNK_ELEMENTS))
+        elif kind == "field" and isinstance(value, list):
+            pair[1] = draw(st.sampled_from(JUNK_FIELDS))
+        elif kind == "reverse" and isinstance(value, list):
+            value.reverse()
+        elif kind == "length" and isinstance(value, list):
+            if draw(st.booleans()) or not value:
+                value.append("1")
+            else:
+                value.pop()
+        elif kind == "id":
+            pairs[0][1] = draw(st.sampled_from(['"\\udc80"', "5", "[1]", "null", '"a"']))
+        elif kind == "target":
+            pairs[1][1] = draw(st.sampled_from(["1e999", "true", '"x"', BIG_INT, "-2", "null"]))
+        elif kind == "type":
+            pairs[2][1] = draw(st.sampled_from(['"gaussian"', "3", "[]", '"samples"',
+                                                '"quantiles"', '"histogram"']))
+        elif kind == "drop" and pair:
+            pairs.remove(pair)
+        elif kind == "foreign":
+            pairs.append([draw(st.sampled_from(["edges", "probs", "levels", "values"])), ["1"]])
+        elif kind == "repeat" and pair:
+            pairs.append([pair[0], draw(st.sampled_from(['"b"', "[1]", "0.25"]))])
+    text = ", ".join(f'"{key}": ' + ("[" + ", ".join(value) + "]" if isinstance(value, list)
+                                     else value) for key, value in pairs)
+    return ("{" + text + "}").encode()
+
+
+def read_outcome(path):
+    """(records, crossing notes, first error) of read_forecasts, as the oracle gives them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = read_forecasts(path)
+        except RecordParseError as exc:
+            records, error = None, (type(exc), exc.line, exc.message)
+        else:
+            records = [record_bytes(r.id, r.target, FORM_NAMES[type(r.forecast)],
+                                    {key: getattr(r.forecast, key)
+                                     for key in FORECAST_KEYS[FORM_NAMES[type(r.forecast)]]},
+                                    getattr(r.forecast, "repaired", False))
+                       for r in table]
+            error = None
+    assert {w.category for w in caught} <= {QuantileCrossingWarning}
+    return records, [str(w.message) for w in caught], error
+
+
+def oracle_outcome(path):
+    records, notes, error = oracle.read_forecasts(path)
+    if records is not None:
+        records = [record_bytes(rid, y, form, fields, crossings > 0)
+                   for rid, y, form, fields, crossings in records]
+    return records, notes, None if error is None else (type(error), error.line, error.message)
+
+
+def record_bytes(record_id, target, form, fields, repaired):
+    assert all(a.dtype == np.float64 for a in fields.values())
+    return (record_id, repr(target), form, {k: a.tobytes() for k, a in fields.items()},
+            bool(repaired))
+
+
+def check_against_the_oracle(path):
+    got = read_outcome(path)
+    assert got == oracle_outcome(path)
+    assert validate_forecast_file(path) == oracle.validate_forecast_file(path)
+    if got[0] is not None:
+        # The packed batch is the one its records would pack into.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = read_forecasts(path)
+            again = ForecastBatch.from_forecasts(r.forecast for r in table)
+            for a, b in [(table.batch, again), (table.batch.histograms(), again.histograms())]:
+                for name in ("offsets", "probs", "points" if a is table.batch else "edges"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert len(table) == len(got[0])
+
+
+class TestForecastReaderMatchesTheRowOracle:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(lines=st.lists(forecast_line(), max_size=12))
+    def test_records_errors_warnings_and_violations(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("forecasts") / "forecasts.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        check_against_the_oracle(path)
+
+
+def test_read_stops_at_a_line_rejected_on_its_own(tmp_path):
+    path = tmp_path / "fc.jsonl"
+    good = b'{"id": "a", "target": 0.5, "type": "samples", "values": [1, 2]}'
+    path.write_bytes(b"\n".join([good, b'{"id": "b", "values": [1, 2], "values": [3]}',
+                                 *[good] * 50]) + b"\n")
+    with mock.patch.object(io, "_parse_forecast", wraps=io._parse_forecast) as parse:
+        with pytest.raises(RecordParseError) as err:
+            read_forecasts(path)
+        assert parse.call_count == 2
+        assert (err.value.line, err.value.message) == (2, "repeated key 'values'")
+        assert validate_forecast_file(path)[0] == 52
+    assert parse.call_count == 2 + 52
+
+
+class TestLargeForecastFiles:
+    """Files of 120 records of 300-700 values per field, each form's values
+    laid end to end in one buffer per field."""
+
+    def records(self):
+        rng = np.random.default_rng(25)
+        records = []
+        for i in range(120):
+            size = int(rng.integers(300, 700))
+            if i % 3 == 0:
+                forecast = HistogramForecast(np.cumsum(rng.random(size + 1)), rng.random(size))
+            elif i % 3 == 1:
+                levels = (np.arange(size) + 0.5) / size
+                forecast = QuantileForecast(levels, np.sort(rng.normal(size=size)))
+            else:
+                forecast = SampleForecast(rng.normal(size=size) * 1e3)
+            records.append(ForecastRecord(str(i), float(rng.normal()), forecast))
+        return records
+
+    def test_every_value_arrives_intact(self, tmp_path):
+        records = self.records()
+        path = tmp_path / "big.jsonl"
+        write_forecasts(records, path)
+        table = read_forecasts(path)
+        assert [(r.id, r.target) for r in table] == [(r.id, r.target) for r in records]
+        for got, line in zip(table, path.read_bytes().splitlines()):
+            obj = json.loads(line)
+            for key in FORECAST_KEYS[obj["type"]]:
+                want = np.array(obj[key])
+                if key == "probs":  # normalized on reading
+                    want = want / want.sum()
+                assert getattr(got.forecast, key).tobytes() == want.tobytes()
+        check_against_the_oracle(path)
+
+    @pytest.mark.parametrize("token, message", [
+        ("1e999", "finite"),
+        (BIG_INT, "int too large to convert to float"),
+    ], ids=["infinite", "too large for a float"])
+    @pytest.mark.parametrize("line", [100, 119])
+    def test_an_error_late_in_the_file_names_its_line(self, tmp_path, token, message, line):
+        path = tmp_path / "big.jsonl"
+        write_forecasts(self.records(), path)
+        lines = path.read_bytes().splitlines()
+        obj = json.loads(lines[line - 1])
+        key = FORECAST_KEYS[obj["type"]][-1]
+        obj[key][len(obj[key]) // 2] = "@@"
+        lines[line - 1] = json.dumps(obj).replace('"@@"', token).encode()
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(RecordParseError) as err:
+            read_forecasts(path)
+        assert err.value.line == line
+        assert message in err.value.message
+        check_against_the_oracle(path)
 
 
 class TestWriteLeaderboard:

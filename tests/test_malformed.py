@@ -190,3 +190,26 @@ def test_a_header_field_over_the_csv_size_limit(tmp_path, capsys):
     assert (n, [(v.line, v.message) for v in violations]) == (0, [(1, message)])
     assert main(["validate", "--runs", str(path)]) == 1
     assert capsys.readouterr().out == f"line 1: {message}\n0 row(s), 1 violations\n"
+
+
+@pytest.mark.parametrize("bad, key", [
+    (b'{"id": "a", "id": "b", "target": 0.5, "type": "samples", "values": [1, 2]}', "id"),
+    (b'{"id": "b", "target": 0.5, "type": "samples", "values": [1, 2], "values": [3]}', "values"),
+    (b'{"id": {"k": 1, "k": 2}, "target": 0.5, "type": "samples", "values": [1]}', "k"),
+], ids=["id", "values", "nested"])
+def test_a_repeated_key_is_rejected(tmp_path, capsys, bad, key):
+    path, line = forecast_file(tmp_path, bad)
+    message = f"repeated key {key!r}"
+    with pytest.raises(RecordParseError) as err:
+        read_forecasts(path)
+    assert (err.value.line, err.value.message) == (line, message)
+
+    assert main(["score", "--forecasts", str(path), "--metrics", "crps",
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+    assert main(["validate", "--forecasts", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"line {line}: {message}\n{LEADING + 2} record(s), 0 quantile record(s) repaired, "
+        "1 violations\n"
+    )
