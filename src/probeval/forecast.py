@@ -239,14 +239,9 @@ def _check_histograms(c: _Checks) -> None:
     c.fail_at(0, c.neighbours(0, np.less_equal), "edges must be strictly increasing")
     probs = c.fields[1]
     c.fail_at(1, ~np.isfinite(probs) | (probs < 0), "probs must be finite and nonnegative")
-    # Each record's total is numpy's sum of that record alone; a lone record
-    # is summed as it is.
-    if len(c.lengths[1]) == 1:
-        totals = probs.sum(keepdims=True)
-    else:
-        totals = np.zeros(c.lengths[1].size)
-        for rows, cols in _SizeGroups(c.offsets[1]).chunks():
-            totals[rows] = probs[cols].sum(axis=1)
+    totals = np.zeros(c.lengths[1].size)
+    for rows, cols in _SizeGroups(c.offsets[1]).chunks():
+        totals[rows] = probs[cols].sum(axis=1)
     c.fail(~((totals > 0) & (totals < math.inf)), "probs must carry positive, finite total mass")
     if not c.errors:
         c.checked = [c.fields[0], probs / np.repeat(totals, c.lengths[1])]
@@ -619,6 +614,17 @@ class ForecastTable(Sequence):
 
     def __post_init__(self):
         self.targets.flags.writeable = False
+
+    @classmethod
+    def from_records(cls, records: Iterable) -> ForecastTable:
+        """The table of records with ``target`` and ``forecast`` attributes; a
+        record without an ``id`` is named by its index."""
+        records = tuple(records)
+        return cls(
+            tuple(getattr(rec, "id", i) for i, rec in enumerate(records)),
+            np.array([rec.target for rec in records], dtype=float),
+            ForecastBatch.from_forecasts(rec.forecast for rec in records),
+        )
 
     def __len__(self) -> int:
         return len(self.ids)

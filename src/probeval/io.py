@@ -30,6 +30,7 @@ from .errors import (
 )
 from .forecast import (
     _INIT_FIELDS,
+    BLOCK_ELEMENTS,
     _NOT_1D,
     MASS_TOL,
     ForecastBatch,
@@ -141,33 +142,48 @@ def _parse_forecast(line: str, line_no: int) -> tuple:
     return cls, record_id, y, [obj[key] for key in keys]
 
 
+def _float_buffer():
+    import array  # not at start-up: only reading a forecast file needs it
+
+    return array.array("d")
+
+
 class _FormBuffer:
     """The records of one form: each one's row among the file's records, its
-    line, and its fields in columns.  :meth:`finish` checks them in bulk.
+    line, and its fields in columns, checked in bulk a block at a time.
 
     Each line's values are converted to float64 as the line is read, so no
     more than one line's values are ever held as Python floats.  A field
     that is no list of numbers a float can hold gets an empty part and, in
     ``problems``, the error converting it gives, as
-    :class:`forecast._Checks` takes it.
+    :class:`forecast._Checks` takes it.  A block ends once its values reach
+    ``BLOCK_ELEMENTS``; :meth:`check` then checks its records and drops its
+    values, keeping only the checked fields (``kept``) when asked to.
     """
 
-    def __init__(self, form: type):
-        import array  # not at start-up: only reading a forecast file needs it
-
-        self.form = form
+    def __init__(self, form: type, keep: bool):
+        self.form, self.keep = form, keep
         self.rows: list[int] = []
         self.lines: list[int] = []
-        self.id_errors: dict[int, RecordParseError] = {}
         n_fields = len(_INIT_FIELDS[form])
-        self.values = [array.array("d") for _ in range(n_fields)]
         self.lengths: list[list[int]] = [[] for _ in range(n_fields)]
-        self.problems: list[dict] = [{} for _ in range(n_fields)]
+        self.kept = [_float_buffer() for _ in range(n_fields)]
+        self.crossings: list[np.ndarray] = []
         self.failed: dict[int, RecordParseError] = {}
-        self.checks = None
+        # (line, raw total) of each accepted histogram whose mass is off 1,
+        # noted for validation when the fields are not kept.
+        self.off_mass: list[tuple[int, float]] = []
+        self._new_block()
 
-    def add(self, row: int, line: int, record_id, fields: list) -> None:
-        j = len(self.rows)
+    def _new_block(self) -> None:
+        self.start = len(self.rows)
+        self.values = [_float_buffer() for _ in self.lengths]
+        self.problems: list[dict] = [{} for _ in self.lengths]
+        self.id_errors: dict[int, RecordParseError] = {}
+
+    def add(self, row: int, line: int, record_id, fields: list) -> bool:
+        """Buffer a record; True when its block is full."""
+        j = len(self.rows) - self.start
         if type(record_id) is not str:
             self.id_errors[j] = record_id
         self.rows.append(row)
@@ -186,62 +202,85 @@ class _FormBuffer:
                 problem = _as_field(field)
                 problems[j] = problem if isinstance(problem, Exception) else _NOT_1D
             lengths.append(len(values) - size)
+        return sum(map(len, self.values)) >= BLOCK_ELEMENTS
 
-    def finish(self) -> None:
-        """Check every record; ``failed`` maps each one rejected to its error."""
-        self.checks = _check(self.form, [np.frombuffer(v, dtype=float) for v in self.values],
-                             [_offsets(lengths) for lengths in self.lengths], self.problems)
-        for j, exc in self.checks.errors.items():
-            self.failed[j] = RecordParseError(self.lines[j], str(exc))
+    def check(self) -> bool:
+        """Check the records of the block and start a new one; True if one failed."""
+        start = self.start
+        c = _check(self.form, [np.frombuffer(v, dtype=float) for v in self.values],
+                   [_offsets(lengths[start:]) for lengths in self.lengths], self.problems)
+        failed = {j: RecordParseError(self.lines[start + j], str(exc))
+                  for j, exc in c.errors.items()}
         for j, error in self.id_errors.items():
-            self.failed.setdefault(j, error)
+            failed.setdefault(j, error)
+        self.failed.update((start + j, error) for j, error in failed.items())
+        if c.crossings is not None:
+            self.crossings.append(c.crossings)
+        if self.keep:
+            if c.checked is not None:
+                for kept, field in zip(self.kept, c.checked):
+                    kept.frombytes(field.data.cast("B"))
+        elif self.form is HistogramForecast:
+            probs, offsets = c.fields[1], c.offsets[1]
+            for j in range(len(self.rows) - start):
+                if j not in failed:
+                    total = math.fsum(probs[offsets[j] : offsets[j + 1]].tolist())
+                    if abs(total - 1.0) > MASS_TOL:
+                        self.off_mass.append((self.lines[start + j], total))
+        self._new_block()
+        return bool(failed)
 
     def accepted(self) -> Iterator[int]:
         return (j for j in range(len(self.rows)) if j not in self.failed)
 
     def columns(self) -> _FormColumns:
-        c = self.checks
         return _FormColumns(
-            self.form, np.array(self.rows, dtype=np.intp), tuple(map(_readonly, c.checked)),
-            tuple(map(_readonly, c.offsets)), None if c.crossings is None else c.crossings > 0,
+            self.form, np.array(self.rows, dtype=np.intp),
+            tuple(_readonly(np.frombuffer(kept, dtype=float)) for kept in self.kept),
+            tuple(_readonly(_offsets(lengths)) for lengths in self.lengths),
+            np.concatenate(self.crossings) > 0 if self.crossings else None,
         )
 
 
 class _ForecastColumns:
     """The records of a forecast file, read into per-form columns.
 
-    Each line is decoded and its keys and types checked as it is read;
-    :meth:`finish` checks the rules of each form in bulk.  ``errors`` then
-    holds every rejected line's error, in line order.
+    Each line is decoded and its keys and types checked as it is read; the
+    rules of each form are checked in bulk, a block at a time, the last
+    blocks by :meth:`finish`.  ``errors`` then holds every rejected line's
+    error, in line order.
     """
 
-    def __init__(self):
+    def __init__(self, keep: bool):
         self.n_records = 0
         self.errors: list[RecordParseError] = []
         self.ids: list = []
         self.targets: list[float] = []
-        self.forms = {cls: _FormBuffer(cls) for cls, _ in _FORMS.values()}
+        self.forms = {cls: _FormBuffer(cls, keep) for cls, _ in _FORMS.values()}
 
     def reject(self, error: RecordParseError) -> None:
         self.n_records += 1
         self.errors.append(error)
 
-    def add(self, line: int, form: type, record_id, target: float, values: list) -> None:
+    def add(self, line: int, form: type, record_id, target: float, values: list) -> bool:
+        """Buffer a record; True if it ended a block that holds a rejected record."""
         self.n_records += 1
-        self.forms[form].add(len(self.targets), line, record_id, values)
+        buffer = self.forms[form]
+        full = buffer.add(len(self.targets), line, record_id, values)
         self.ids.append(record_id)
         self.targets.append(target)
+        return full and buffer.check()
 
     def finish(self) -> None:
         for buffer in self.forms.values():
-            buffer.finish()
+            buffer.check()
             self.errors += buffer.failed.values()
         self.errors.sort(key=lambda error: error.line)
 
     def repairs(self) -> list[tuple[int, str, int]]:
         """(line, id, crossings) of each accepted quantile record whose crossings were sorted."""
         quantiles = self.forms[QuantileForecast]
-        crossings = quantiles.checks.crossings
+        crossings = np.concatenate(quantiles.crossings)
         return [(quantiles.lines[j], self.ids[quantiles.rows[j]], int(crossings[j]))
                 for j in quantiles.accepted() if crossings[j]]
 
@@ -252,23 +291,26 @@ class _ForecastColumns:
         return ForecastTable(tuple(self.ids), np.array(self.targets, dtype=float), batch)
 
 
-def _scan_forecasts(path, whole: bool) -> _ForecastColumns:
-    """Read and check the lines of a forecast file: every line if ``whole``,
-    else up to the first line rejected on its own."""
-    columns = _ForecastColumns()
+def _scan_forecasts(path, validate: bool) -> _ForecastColumns:
+    """Read and check the lines of a forecast file.
+
+    To read it, the scan stops at the first line rejected on its own, or
+    at the first block holding a rejected record: no later line can hold
+    the first error.  To ``validate`` it, every line is read, and each
+    block's values are dropped once checked.
+    """
+    columns = _ForecastColumns(keep=not validate)
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
-                if not line.strip():
+                if not line.strip() or not columns.add(line_no, *_parse_forecast(line, line_no)):
                     continue
-                columns.add(line_no, *_parse_forecast(line, line_no))
-                continue
             except UnicodeDecodeError as exc:
                 columns.reject(RecordParseError(line_no, f"not valid UTF-8: {exc}"))
             except RecordParseError as exc:
                 columns.reject(exc)
-            if not whole:
+            if not validate:
                 break
     columns.finish()
     return columns
@@ -282,8 +324,7 @@ def read_forecasts(path) -> ForecastTable:
     :class:`QuantileCrossingWarning` for each record before it whose
     crossing quantiles were sorted.
     """
-    # The lines after one rejected on its own cannot hold the first error.
-    columns = _scan_forecasts(path, whole=False)
+    columns = _scan_forecasts(path, validate=False)
     first = columns.errors[0].line if columns.errors else math.inf
     for line, record_id, crossings in columns.repairs():
         if line < first:
@@ -579,16 +620,10 @@ def validate_forecast_file(path) -> tuple[int, int, list[Violation]]:
     mass is off 1 by more than ``MASS_TOL``, and quantile crossings
     repaired by sorting.
     """
-    columns = _scan_forecasts(path, whole=True)
+    columns = _scan_forecasts(path, validate=True)
     violations = [Violation(error.line, error.message) for error in columns.errors]
-    histograms = columns.forms[HistogramForecast]
-    probs, offsets = histograms.checks.fields[1], histograms.checks.offsets[1]
-    for j in histograms.accepted():
-        total = math.fsum(probs[offsets[j] : offsets[j + 1]].tolist())
-        if abs(total - 1.0) > MASS_TOL:
-            violations.append(
-                Violation(histograms.lines[j], f"probability mass sums to {total!r}, not 1")
-            )
+    violations += [Violation(line, f"probability mass sums to {total!r}, not 1")
+                   for line, total in columns.forms[HistogramForecast].off_mass]
     repairs = columns.repairs()
     violations += [Violation(line, "non-monotone quantile values (repaired by sorting)")
                    for line, _, _ in repairs]

@@ -685,21 +685,15 @@ def score_batch(
     batch target mean and population standard deviation.  Two different
     specs with one name raise :class:`UnknownMetricError`.
     """
-    table = records if isinstance(records, ForecastTable) else None
-    if table is None:
-        records = list(records)
-    if not len(records):
+    table = records if isinstance(records, ForecastTable) else ForecastTable.from_records(records)
+    if not len(table):
         raise EmptyBatchError("no forecast records to score")
     resolved: dict[str, MetricSpec] = {}
     for spec in specs:
         spec = resolve_metric(spec) if isinstance(spec, str) else spec
         if resolved.setdefault(spec.name, spec) != spec:
             raise UnknownMetricError(f"two different metrics are named {spec.name!r}")
-    if table is None:
-        targets = np.array([rec.target for rec in records], dtype=float)
-        batch = ForecastBatch.from_forecasts(rec.forecast for rec in records)
-    else:
-        targets, batch = table.targets, table.batch
+    targets, batch = table.targets, table.batch
 
     results: dict[str, ScoreResult] = {}
     columns: dict[str, np.ndarray] = {}
@@ -723,8 +717,7 @@ def score_batch(
         except OutsideSupportError as exc:
             if exc.index is None:
                 raise
-            rec_id = getattr(records[exc.index], "id", exc.index)
-            raise OutsideSupportError(f"record {rec_id!r}: {exc}") from exc
+            raise OutsideSupportError(f"record {table.ids[exc.index]!r}: {exc}") from exc
         if isinstance(value, np.ndarray):
             if value.shape != (batch.n,):
                 raise ValueError(

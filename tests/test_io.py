@@ -334,7 +334,6 @@ class TestRunReaderMatchesTheRowOracle:
         assert aggregated(table) == aggregated(list(table)) == aggregated(records)
 
 
-BIG_INT = "1" + "0" * 400
 # Number tokens of a forecast line: ordinary, signed zero, subnormal, near
 # and past the float range, and integers too large for a float.
 NUMBERS = ["0", "1", "2", "-1", "0.5", "3", "-0.0", "1e-320", "1e308", "1e999", "-1e999",
@@ -460,11 +459,14 @@ def check_against_the_oracle(path):
 class TestForecastReaderMatchesTheRowOracle:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-    @given(lines=st.lists(forecast_line(), max_size=12))
-    def test_records_errors_warnings_and_violations(self, tmp_path_factory, lines):
+    @given(lines=st.lists(forecast_line(), max_size=12),
+           block=st.sampled_from([1, 2, 3, io.BLOCK_ELEMENTS]))
+    def test_records_errors_warnings_and_violations(self, tmp_path_factory, lines, block):
+        # Small blocks end a block after a record of one or a few values.
         path = tmp_path_factory.mktemp("forecasts") / "forecasts.jsonl"
         path.write_bytes(b"\n".join(lines) + b"\n")
-        check_against_the_oracle(path)
+        with mock.patch.object(io, "BLOCK_ELEMENTS", block):
+            check_against_the_oracle(path)
 
 
 def test_read_stops_at_a_line_rejected_on_its_own(tmp_path):
@@ -482,8 +484,9 @@ def test_read_stops_at_a_line_rejected_on_its_own(tmp_path):
 
 
 class TestLargeForecastFiles:
-    """Files of 120 records of 300-700 values per field, each form's values
-    laid end to end in one buffer per field."""
+    """Files of 120 records of 300-700 values per field (twice that for
+    samples), so that each form fills two blocks of ``BLOCK_ELEMENTS`` values
+    at least."""
 
     def records(self):
         rng = np.random.default_rng(25)
@@ -496,12 +499,47 @@ class TestLargeForecastFiles:
                 levels = (np.arange(size) + 0.5) / size
                 forecast = QuantileForecast(levels, np.sort(rng.normal(size=size)))
             else:
-                forecast = SampleForecast(rng.normal(size=size) * 1e3)
+                forecast = SampleForecast(rng.normal(size=2 * size) * 1e3)
             records.append(ForecastRecord(str(i), float(rng.normal()), forecast))
         return records
 
+    @staticmethod
+    def block_ends(records):
+        """Each form's lines that end a block: a block ends with the record
+        that brings its values to ``BLOCK_ELEMENTS``."""
+        ends, size = {form: [] for form in FORM_NAMES}, dict.fromkeys(FORM_NAMES, 0)
+        for line, r in enumerate(records, start=1):
+            form = type(r.forecast)
+            size[form] += sum(getattr(r.forecast, key).size
+                              for key in FORECAST_KEYS[FORM_NAMES[form]])
+            if size[form] >= io.BLOCK_ELEMENTS:
+                ends[form].append(line)
+                size[form] = 0
+        return ends
+
+    @staticmethod
+    def write(path, records, errors=()):
+        """Write ``records``, with a value of the last field of each line in
+        ``errors`` replaced by ``token``."""
+        write_forecasts(records, path)
+        lines = path.read_bytes().splitlines()
+        for line, token in errors:
+            obj = json.loads(lines[line - 1])
+            key = FORECAST_KEYS[obj["type"]][-1]
+            obj[key][len(obj[key]) // 2] = "@@"
+            lines[line - 1] = json.dumps(obj).replace('"@@"', token).encode()
+        path.write_bytes(b"\n".join(lines) + b"\n")
+
+    def read_counting_lines(self, path):
+        """(first error, lines parsed) of read_forecasts."""
+        with mock.patch.object(io, "_parse_forecast", wraps=io._parse_forecast) as parse:
+            with pytest.raises(RecordParseError) as err:
+                read_forecasts(path)
+        return err.value, parse.call_count
+
     def test_every_value_arrives_intact(self, tmp_path):
         records = self.records()
+        assert all(len(ends) >= 2 for ends in self.block_ends(records).values())
         path = tmp_path / "big.jsonl"
         write_forecasts(records, path)
         table = read_forecasts(path)
@@ -522,17 +560,39 @@ class TestLargeForecastFiles:
     @pytest.mark.parametrize("line", [100, 119])
     def test_an_error_late_in_the_file_names_its_line(self, tmp_path, token, message, line):
         path = tmp_path / "big.jsonl"
-        write_forecasts(self.records(), path)
-        lines = path.read_bytes().splitlines()
-        obj = json.loads(lines[line - 1])
-        key = FORECAST_KEYS[obj["type"]][-1]
-        obj[key][len(obj[key]) // 2] = "@@"
-        lines[line - 1] = json.dumps(obj).replace('"@@"', token).encode()
-        path.write_bytes(b"\n".join(lines) + b"\n")
+        self.write(path, self.records(), [(line, token)])
         with pytest.raises(RecordParseError) as err:
             read_forecasts(path)
         assert err.value.line == line
         assert message in err.value.message
+        check_against_the_oracle(path)
+
+    @pytest.mark.parametrize("form", list(FORM_NAMES), ids=list(FORM_NAMES.values()))
+    def test_the_read_stops_where_a_block_with_an_error_ends(self, tmp_path, form):
+        records = self.records()
+        ends = self.block_ends(records)[form]
+        # The form's first record in its second block.
+        line = next(i for i, r in enumerate(records, start=1)
+                    if i > ends[0] and type(r.forecast) is form)
+        path = tmp_path / "big.jsonl"
+        self.write(path, records, [(line, "1e999")])
+        error, parsed = self.read_counting_lines(path)
+        assert (error.line, parsed) == (line, ends[1])
+        check_against_the_oracle(path)
+
+    def test_an_earlier_error_in_a_block_not_yet_full_comes_first(self, tmp_path):
+        records = self.records()
+        first_end = {form: ends[0] for form, ends in self.block_ends(records).items()}
+        full, open_ = sorted(first_end, key=first_end.get)[:2]
+        # An error in the first record of ``open_``, whose block is not full
+        # when the block of ``full`` ends with an error of its own.
+        early = next(i for i, r in enumerate(records, start=1) if type(r.forecast) is open_)
+        late = first_end[full]
+        assert early < late
+        path = tmp_path / "big.jsonl"
+        self.write(path, records, [(early, "1e999"), (late, "1e999")])
+        error, parsed = self.read_counting_lines(path)
+        assert (error.line, parsed) == (early, late)
         check_against_the_oracle(path)
 
 
