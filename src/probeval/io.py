@@ -116,6 +116,9 @@ def _parse_forecast(line: str, line_no: int) -> tuple:
     for key in ("id", "target", *keys):
         if key not in obj:
             raise RecordParseError(line_no, f"missing field {key!r}")
+    record_id = obj["id"]
+    if not isinstance(record_id, str):
+        raise RecordParseError(line_no, f"id must be a string, got {reprlib.repr(record_id)}")
     target = obj["target"]
     # An integer literal too large for a float counts as infinite.
     try:
@@ -135,9 +138,8 @@ def _parse_forecast(line: str, line_no: int) -> tuple:
                 line_no, f"{key} must contain only numbers, got {reprlib.repr(bad)}"
             )
     try:
-        record_id = str(obj["id"])
         record_id.encode("utf-8")  # a lone surrogate escape could never be written out
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         record_id = RecordParseError(line_no, str(exc))
     return cls, record_id, y, [obj[key] for key in keys]
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
@@ -290,13 +291,18 @@ def permutation_null(
 ) -> np.ndarray:
     """Null distribution of per-model mean ranks under within-dataset shuffles.
 
-    Each simulation independently permutes every dataset's rank vector;
-    the permutation for (simulation s, dataset d) is drawn from its own
-    counter-based substream of ``seed``, so the (nsim, models) result is
-    the same for any ``chunk_size`` and any parallel split.  Simulations
-    are taken ``chunk_size`` rows at a time (by default as many as fit in
-    ``NULL_ELEMENTS`` rank cells), and the chunks run on a thread pool of
-    one thread per CPU the process may use, or per chunk if fewer.
+    The permutation for (simulation s, dataset d) is the stable order of M
+    keys hashed from its own counter-based substream of ``seed``, so the
+    (nsim, models) result is the same for any ``chunk_size`` and thread
+    split.  Each dataset's ranks must be whole or half numbers in [1, M]
+    or all NaN (the null is then all NaN); anything else is a ValueError.
+    Rank r's code 2r - 2 replaces the low b = (2M - 2).bit_length() bits
+    of the high 32-bit word of its slot's key; each row of words is
+    sorted and its codes are added as integers.  A row whose words agree
+    above the low bits (about M**2 / 2**(33 - b) of the rows) argsorts
+    its full keys instead.  Simulations are taken ``chunk_size`` rows at
+    a time (by default within ``NULL_ELEMENTS`` rank cells), on one
+    thread per usable CPU, or per chunk if fewer.
     """
     ranks = np.asarray(ranks, dtype=float)
     n_models, n_datasets = ranks.shape
@@ -304,11 +310,20 @@ def permutation_null(
         raise ValueError("nsim must be >= 1")
     if n_datasets < 1:
         raise ValueError("ranks must have at least one dataset")
+    blank = np.isnan(ranks).all(axis=0)
+    twice = 2.0 * ranks[:, ~blank]
+    if not ((twice == np.floor(twice)) & (twice >= 2.0) & (twice <= 2.0 * n_models)).all():
+        raise ValueError(f"each dataset's ranks must be whole or half numbers in [1, {n_models}], "
+                         "or all NaN")
+    if blank.any():
+        return np.full((nsim, n_models), np.nan)
     if chunk_size is None:
-        chunk = max(1, NULL_ELEMENTS // max(n_models, 1))
+        chunk = max(1, NULL_ELEMENTS // n_models)
     else:
         chunk = max(1, int(chunk_size))
-    columns = np.ascontiguousarray(ranks.T)
+    codes = (twice.T - 2.0).astype(np.uint32, order="C")
+    low = np.uint32((1 << (2 * n_models - 2).bit_length()) - 1)
+    high_word = 1 if sys.byteorder == "little" else 0
     slots = np.arange(n_models, dtype=np.uint64)
     # Every key of dataset d hashes (seed, stream, d) first.
     prefixes = rng.counter_hash(seed, _SHUFFLE_STREAM, np.arange(n_datasets, dtype=np.uint64))
@@ -319,19 +334,34 @@ def permutation_null(
         # order, so no byte depends on the split or the thread.  Its
         # temporaries are allocated once and reused for every dataset.
         sums = out[lo : lo + chunk]
-        sums[...] = 0.0
         rows = len(sums)
         sims = np.arange(lo, lo + rows, dtype=np.uint64)[:, None]
         sim_keys, sim_scratch = np.empty((2, rows, 1), dtype=np.uint64)
-        keys, scratch, packed = np.empty((3, rows, n_models), dtype=np.uint64)
-        gaps = np.empty(max(rows * n_models - 1, 0), dtype=np.uint64)
+        keys, scratch = np.empty((2, rows, n_models), dtype=np.uint64)
+        high = keys.view(np.uint32)[:, high_word::2]
+        words = np.empty((rows, n_models), dtype=np.uint32)
+        flat = words.ravel()
+        # Neighbours are compared across row ends too, which can only send
+        # a row to the argsort needlessly.
+        gaps = np.empty(max(flat.size - 1, 0), dtype=np.uint32)
         near = np.empty(gaps.shape, dtype=bool)
-        gathered = np.empty((rows, n_models))
-        for d, column in enumerate(columns):
+        totals = np.zeros((rows, n_models), dtype=np.int64)
+        for d, code in enumerate(codes):
             rng._step(prefixes[d : d + 1], sims, sim_keys, sim_scratch)
             rng._step(sim_keys, slots, keys, scratch)
-            order = _stable_order(keys, packed, gaps, near)
-            sums += column.take(order, out=gathered, mode="clip")
+            np.bitwise_and(high, ~low, out=words)
+            words |= code
+            words.sort(axis=1)
+            np.bitwise_xor(flat[1:], flat[:-1], out=gaps)
+            np.less_equal(gaps, low, out=near)
+            words &= low
+            if near.any():
+                tied = np.unique(np.flatnonzero(near) // n_models)
+                words[tied] = code[np.argsort(keys[tied], axis=1, kind="stable")]
+            totals += words
+        # Exact, like a float sum of the ranks: the same bytes.
+        np.add(totals, 2 * n_datasets, out=sums)
+        sums *= 0.5
         sums /= n_datasets
 
     from concurrent.futures import ThreadPoolExecutor
@@ -340,38 +370,6 @@ def permutation_null(
     with ThreadPoolExecutor(min(len(starts), _usable_cpus())) as pool:
         list(pool.map(fill, starts))
     return out
-
-
-def _stable_order(
-    keys: np.ndarray, packed: np.ndarray, gaps: np.ndarray, near: np.ndarray
-) -> np.ndarray:
-    """``np.argsort(keys, axis=1, kind="stable")`` of uint64 keys, by sorting values.
-
-    The low b = (M - 1).bit_length() bits of each of a row's M keys are
-    replaced by its slot index, the packed values are sorted, and the
-    slots are read back from the low bits.  That is the stable argsort
-    order unless two keys of a row agree above the low bits; such rows
-    (for hashed keys, a share of about M**2 / 2**(65 - b)) are argsorted.
-    The caller's buffers hold the work: ``packed`` is shaped like
-    ``keys`` and becomes the returned order, and ``gaps`` (uint64) and
-    ``near`` (bool) have one element fewer than ``keys``.
-    """
-    n = keys.shape[1]
-    low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    np.bitwise_and(keys, ~low, out=packed)
-    packed |= np.arange(n, dtype=np.uint64)
-    packed.sort(axis=1)
-    # Neighbours are compared across row ends too, which can only send a
-    # row to the argsort needlessly.
-    flat = packed.ravel()
-    np.bitwise_xor(flat[1:], flat[:-1], out=gaps)
-    np.less_equal(gaps, low, out=near)
-    packed &= low
-    order = packed.view(np.int64)
-    if near.any():
-        tied = np.unique(np.flatnonzero(near) // n)
-        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
-    return order
 
 
 def _usable_cpus() -> int:

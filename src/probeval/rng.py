@@ -33,10 +33,10 @@ def _step(h: np.ndarray, stream, out: np.ndarray, scratch: np.ndarray) -> np.nda
 
     ``h`` (an array, so that the addition wraps silently where a numpy
     scalar would warn) and ``stream`` broadcast to the shape of ``out``;
-    ``scratch`` has that shape too.  Nothing is allocated.
+    ``scratch`` has that shape too.  Only ``h + GAMMA``, shaped like
+    ``h``, is allocated, and the stream is XORed into it in one pass.
     """
-    np.add(h, _GAMMA, out=out)
-    out ^= stream
+    np.bitwise_xor(h + _GAMMA, stream, out=out)
     return _finalize(out, scratch)
 
 

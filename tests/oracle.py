@@ -442,6 +442,8 @@ def _parse_forecast(line, line_no):
     for key in ("id", "target", *keys):
         if key not in obj:
             raise RecordParseError(line_no, f"missing field {key!r}")
+    if not isinstance(obj["id"], str):
+        raise RecordParseError(line_no, f"id must be a string, got {reprlib.repr(obj['id'])}")
     target = obj["target"]
     try:
         y = float(target) if type(target) in (int, float) else math.nan
@@ -461,7 +463,7 @@ def _parse_forecast(line, line_no):
                     )
     try:
         fields, crossings = rules(*(obj[key] for key in keys))
-        record_id = str(obj["id"])
+        record_id = obj["id"]
         record_id.encode("utf-8")
     except (ValueError, TypeError, OverflowError, RecursionError, InvalidLevelError) as exc:
         raise RecordParseError(line_no, str(exc)) from None

@@ -89,6 +89,15 @@ class TestLeaderboardCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_wide_columns_match_the_golden_file(self, tmp_path):
+        # 20 models give the null 6-bit rank codes; the golden file pins
+        # every full-precision p-value, observed mean and average rank.
+        runs = synth_runs(tmp_path, models=20, datasets=30, folds=2)
+        out = tmp_path / "lb.csv"
+        assert run_cli("leaderboard", "--runs", runs, "--metric", "crps", "--seed", 7,
+                       "--wide", "--out", out) == 0
+        assert out.read_bytes() == (DATA / "leaderboard_golden_wide.csv").read_bytes()
+
     def test_seed_required(self, tmp_path, capsys):
         runs = synth_runs(tmp_path)
         code = run_cli("leaderboard", "--runs", runs, "--metric", "crps",

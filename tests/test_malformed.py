@@ -213,3 +213,20 @@ def test_a_repeated_key_is_rejected(tmp_path, capsys, bad, key):
         f"line {line}: {message}\n{LEADING + 2} record(s), 0 quantile record(s) repaired, "
         "1 violations\n"
     )
+
+
+@pytest.mark.parametrize("record_id, shown", [
+    (b"null", "None"), (b'["a", 1]', "['a', 1]"), (b"1e999", "inf"), (b"7", "7"),
+], ids=["null", "list", "infinite", "integer"])
+def test_an_id_that_is_no_string_is_rejected(tmp_path, capsys, record_id, shown):
+    path, line = forecast_file(tmp_path, samples_line(record_id))
+    message = f"id must be a string, got {shown}"
+    with pytest.raises(RecordParseError) as err:
+        read_forecasts(path)
+    assert (err.value.line, err.value.message) == (line, message)
+
+    assert main(["validate", "--forecasts", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"line {line}: {message}\n{LEADING + 2} record(s), 0 quantile record(s) repaired, "
+        "1 violations\n"
+    )

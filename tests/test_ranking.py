@@ -370,6 +370,41 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         # order, where each model keeps its own rank.
         assert not (got[1::2] == ranks[:, 0]).all(axis=1).any()
 
+    @pytest.mark.parametrize("chunk", [None, 37])
+    def test_real_hashes_agreeing_above_the_low_bits_take_the_argsort(self, chunk):
+        # 300 models take b = 10 bits of rank code, which leaves 22 key
+        # bits in the high word: about 300**2 / 2**23, one row in a
+        # hundred, has two keys agreeing there, with no keys forced.
+        models, nsim, seed = 300, 400, 12
+        values = np.random.default_rng(30).integers(0, 200, size=(models, 3)).astype(float)
+        ranks = rank_transform(ScoreMatrix(tuple(f"m{m}" for m in range(models)),
+                                           ("d0", "d1", "d2"), values, LOWER_BETTER))
+        sims = np.arange(nsim, dtype=np.uint64)[:, None]
+        slots = np.arange(models, dtype=np.uint64)
+        tied = 0
+        for d in range(3):
+            top = rng.counter_hash(seed, ranking._SHUFFLE_STREAM, d, sims, slots) >> np.uint64(42)
+            top.sort(axis=1)
+            tied += int((np.diff(top, axis=1) == 0).any(axis=1).sum())
+        assert 0 < tied < 3 * nsim // 20
+        got = permutation_null(ranks, nsim=nsim, seed=seed, chunk_size=chunk)
+        want = oracle.permutation_null(ranks, nsim=nsim, seed=seed, chunk_size=chunk)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.5, 4.0, 1.25, np.inf, np.nan],
+                             ids=["half", "m-plus-one", "quarter", "inf", "one-nan"])
+    def test_ranks_must_be_whole_or_half_numbers_from_one_to_m(self, bad):
+        ranks = np.array([[1.0, 1.0], [2.0, 2.5], [3.0, 2.5]])
+        ranks[1, 1] = bad
+        with pytest.raises(ValueError, match=r"whole or half numbers in \[1, 3\], or all NaN"):
+            permutation_null(ranks, nsim=10, seed=1)
+
+    def test_an_all_nan_dataset_gives_the_oracle_bytes(self):
+        ranks = np.array([[1.0, np.nan, 2.0], [2.0, np.nan, 1.0], [3.0, np.nan, 3.0]])
+        got = permutation_null(ranks, nsim=50, seed=3, chunk_size=7)
+        want = oracle.permutation_null(ranks, nsim=50, seed=3, chunk_size=7)
+        assert np.isnan(got).all() and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("values", [
         np.random.default_rng(11).normal(size=(4, 6)),
         np.random.default_rng(12).normal(size=(5, 8)) + np.linspace(-2.0, 0.0, 5)[:, None],
